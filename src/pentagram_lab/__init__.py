@@ -24,9 +24,11 @@ from .errors import (
     DegenerateSpan,
     DimensionMismatch,
     ExhaustedSampling,
+    InconsistentTags,
     IndeterminateCrossRatio,
     InfiniteVertex,
     NonCoplanarDiagonals,
+    NonOrthogonalNormal,
     NonTransverse,
     NotAJoint,
     NotAxisAligned,

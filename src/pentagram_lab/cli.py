@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -636,8 +637,24 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _glue_signed_values(argv: Sequence[str]) -> list[str]:
+    """Write ``--a1 -3/7,...`` as ``--a1=-3/7,...``.
+
+    argparse reads a separate token that starts with '-' as an option unless
+    it is a plain negative number, so a first value like -3/7 would leave
+    --a1 without an argument.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--a1" and re.match(r"-[0-9.]", token):
+            out[-1] = f"--a1={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Sequence[str]) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_glue_signed_values(argv))
     return args.func(args)
 
 

@@ -64,6 +64,14 @@ class NonTransverse(DegeneracyError):
     """Flats met non-transversally where the construction needs transversality."""
 
 
+class NonOrthogonalNormal(PentagramError):
+    """A computed hyperplane normal is not orthogonal to its joint."""
+
+
+class InconsistentTags(PentagramError):
+    """Mated sequences carry labels whose four-way average is not a label."""
+
+
 class DimensionMismatch(PentagramError):
     """Operands live in projective/affine spaces of different dimensions."""
 

@@ -12,7 +12,9 @@ variants (planar, corrugated, mirror with even or odd n):
      skeletons Sigma_k T of the prisms turn incidence claims into exact
      rank/solve computations: slicing, prism independence, and finally the
      collapse line H_{n-1,n-1}, whose projection carries the final mating
-     points together with the common centroid.
+     points together with the common centroid.  One ``lift_report`` builds
+     each of these flats, skeletons and slices once and shares them among
+     its checks.
 
 Tags use two vocabularies.  Planar/corrugated entries carry integer vertex
 labels, kept unreduced (monotone) so that a mating's child label is the plain
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -45,7 +48,9 @@ from .errors import (
     DegenerateMeet,
     DegenerateSpan,
     DimensionMismatch,
+    InconsistentTags,
     NonCoplanarDiagonals,
+    NonOrthogonalNormal,
     NonTransverse,
     NotAJoint,
     VariantMismatch,
@@ -139,7 +144,8 @@ def hyperplane_normal(J: Joint) -> Vec:
     )
     if linalg.is_zero_vec(normal):
         raise NotAJoint("degenerate joint has no normal")
-    assert all(linalg.vec_dot(normal, d) == 0 for d in diffs)
+    if any(linalg.vec_dot(normal, d) != 0 for d in diffs):
+        raise NonOrthogonalNormal("cofactor normal is not orthogonal to the joint")
     return normal
 
 
@@ -149,7 +155,8 @@ class AffineFlat:
 
     The basis rows are the reduced echelon basis of the direction space and
     the base point is the unique representative with zeros in the pivot
-    coordinates.
+    coordinates.  The dual form, equations whose solution set is the flat,
+    is computed on first use and kept.
     """
 
     base: Vec
@@ -191,19 +198,23 @@ class AffineFlat:
     def contains(self, point: Sequence[Fraction]) -> bool:
         return linalg.in_span(self.basis, linalg.vec_sub(tuple(point), self.base))
 
+    @cached_property
+    def _equations(self) -> tuple[tuple[Vec, ...], tuple[Fraction, ...]]:
+        normals = tuple(linalg.nullspace(self.basis, self.ambient))
+        return normals, tuple(linalg.vec_dot(nrm, self.base) for nrm in normals)
+
     def equations(self) -> tuple[list[Vec], list[Fraction]]:
         """Rows N and rhs c with the flat equal to {x : N x = c}."""
-        normals = linalg.nullspace([list(b) for b in self.basis], self.ambient)
-        return normals, [linalg.vec_dot(nrm, self.base) for nrm in normals]
+        normals, rhs = self._equations
+        return list(normals), list(rhs)
 
     def intersect(self, other: "AffineFlat") -> "AffineFlat | None":
-        rows_a, rhs_a = self.equations()
-        rows_b, rhs_b = other.equations()
-        rows = [list(r) for r in rows_a + rows_b]
-        sol = linalg.solve(rows, rhs_a + rhs_b)
-        if sol is None:
+        rows_a, rhs_a = self._equations
+        rows_b, rhs_b = other._equations
+        space = linalg.solution_space(rows_a + rows_b, rhs_a + rhs_b, self.ambient)
+        if space is None:
             return None
-        return AffineFlat.of(sol, linalg.nullspace(rows, self.ambient))
+        return AffineFlat.of(*space)
 
     def span_with(self, other: "AffineFlat") -> "AffineFlat":
         gap = linalg.vec_sub(other.base, self.base)
@@ -276,15 +287,6 @@ class Polyjoint:
         return {
             label: joint_flat(J) for label, J in zip(self.seq_labels, self.joints)
         }
-
-
-@dataclass(frozen=True)
-class CyclicSkeleton:
-    """Level-k faces of a prism: spans of k consecutive lines, cyclically."""
-
-    prism: Prism
-    level: int
-    faces: tuple[AffineFlat, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +531,10 @@ def _mate(X: NPoint, Y: NPoint, slots: int, cyclic: bool) -> NPoint:
             xa, xb = _child_tag(X, t)
             ya, yb = _child_tag(Y, t)
             total = xa + xb + ya + yb
-            assert total % 4 == 0
+            if total % 4 != 0:
+                raise InconsistentTags(
+                    f"slot {t}: parent labels sum to {total}, not a multiple of 4"
+                )
             tags.append(total // 4)
         else:
             tags.append(_child_tag(X, t))
@@ -755,42 +760,83 @@ def mating_orbit_check(P, variant: str, full: bool = False) -> MatingOrbitReport
 # skeletons, H-flats, slicing
 
 
-def cyclic_skeleton(T: Prism, k: int) -> CyclicSkeleton:
-    """Level-k faces: t_k(j) spans k cyclically consecutive prism lines."""
-    levels = _skeleton_levels(T, k)
-    return CyclicSkeleton(prism=T, level=k, faces=levels[k - 1])
+class _Skeleton:
+    """The cyclic skeleton of one prism, built level by level.
 
+    Level k holds the n faces t_k(j), each spanning k cyclically consecutive
+    prism lines.  Levels are built on first use, up to the highest one asked
+    for, so a degenerate face is raised exactly when its level is needed.
+    """
 
-def _skeleton_levels(T: Prism, k: int) -> list[tuple[AffineFlat, ...]]:
-    n = T.n
-    if not 1 <= k <= n - 1:
-        raise ValueError("skeleton level must be between 1 and n-1")
-    levels = [T.lines()]
-    for level in range(2, k + 1):
-        prev = levels[-1]
-        faces = []
-        for t in range(n):
-            face = prev[t].span_with(prev[(t + 1) % n])
-            if face.dim != level:
-                raise DegenerateSpan(
-                    f"level {level} face {t} has dimension {face.dim}"
-                )
-            faces.append(face)
-        levels.append(tuple(faces))
-    return levels
+    def __init__(self, T: Prism):
+        self.prism = T
+        self._levels: list[tuple[AffineFlat, ...]] = []
+
+    def level(self, k: int) -> tuple[AffineFlat, ...]:
+        n = self.prism.n
+        if not 1 <= k <= n - 1:
+            raise ValueError("skeleton level must be between 1 and n-1")
+        if not self._levels:
+            self._levels.append(self.prism.lines())
+        while len(self._levels) < k:
+            level = len(self._levels) + 1
+            prev = self._levels[-1]
+            faces = []
+            for t in range(n):
+                face = prev[t].span_with(prev[(t + 1) % n])
+                if face.dim != level:
+                    raise DegenerateSpan(
+                        f"level {level} face {t} has dimension {face.dim}"
+                    )
+                faces.append(face)
+            self._levels.append(tuple(faces))
+        return self._levels[k - 1]
+
+    def recurrence_holds(self, k: int) -> bool:
+        # every level first: a degenerate face raises before any verdict
+        self.level(k)
+        n = self.prism.n
+        for level in range(1, k):
+            prev, cur = self.level(level), self.level(level + 1)
+            for t in range(n):
+                meet = cur[(t - 1) % n].intersect(cur[t])
+                if meet is None or meet != prev[t]:
+                    return False
+        return True
+
+    def slices(self, W: AffineFlat) -> SlicesReport:
+        j = W.codim
+        n = self.prism.n
+        reasons = []
+        if not 1 <= j <= n - 1:
+            return SlicesReport(False, j, None, (f"codimension {j} out of range",))
+        self.level(min(j + 1, n - 1))  # a degenerate face raises first
+        points = []
+        for t, face in enumerate(self.level(j)):
+            cut = W.intersect(face)
+            if cut is None or cut.dim != 0:
+                reasons.append(f"face {t} at level {j} does not cut to a point")
+                continue
+            points.append(cut.base)
+        if len(points) == n and len(set(points)) != n:
+            reasons.append("slice points are not pairwise distinct")
+        if j < n - 1 and not reasons:
+            lines = []
+            for t, face in enumerate(self.level(j + 1)):
+                cut = W.intersect(face)
+                if cut is None or cut.dim != 1:
+                    reasons.append(f"face {t} at level {j + 1} does not cut to a line")
+                    continue
+                lines.append(cut)
+            if len(lines) == n and len(set(lines)) != n:
+                reasons.append("slice lines are not pairwise distinct")
+        ok = not reasons
+        return SlicesReport(ok, j, tuple(points) if ok else None, tuple(reasons))
 
 
 def skeleton_recurrence_check(T: Prism, k: int) -> bool:
     """t_{k-1}(j) = t_k(j-1) ^ t_k(j+1), checked exactly at every level."""
-    levels = _skeleton_levels(T, k)
-    n = T.n
-    for level in range(1, k):
-        prev, cur = levels[level - 1], levels[level]
-        for t in range(n):
-            meet = cur[(t - 1) % n].intersect(cur[t])
-            if meet is None or meet != prev[t]:
-                return False
-    return True
+    return _Skeleton(T).recurrence_holds(k)
 
 
 def flat_H(g: int, k: int, hyperplanes: Mapping[int, AffineFlat],
@@ -838,33 +884,7 @@ class SlicesReport:
 def slices_check(W: AffineFlat, T: Prism) -> SlicesReport:
     """codim-j W slices T: one point per level-j face, all n distinct, and
     (below the top level) one line per level-(j+1) face, all distinct."""
-    j = W.codim
-    n = T.n
-    reasons = []
-    if not 1 <= j <= n - 1:
-        return SlicesReport(False, j, None, (f"codimension {j} out of range",))
-    levels = _skeleton_levels(T, min(j + 1, n - 1))
-    points = []
-    for t, face in enumerate(levels[j - 1]):
-        cut = W.intersect(face)
-        if cut is None or cut.dim != 0:
-            reasons.append(f"face {t} at level {j} does not cut to a point")
-            continue
-        points.append(cut.base)
-    if len(points) == n and len(set(points)) != n:
-        reasons.append("slice points are not pairwise distinct")
-    if j < n - 1 and not reasons:
-        lines = []
-        for t, face in enumerate(levels[j]):
-            cut = W.intersect(face)
-            if cut is None or cut.dim != 1:
-                reasons.append(f"face {t} at level {j + 1} does not cut to a line")
-                continue
-            lines.append(cut)
-        if len(lines) == n and len(set(lines)) != n:
-            reasons.append("slice lines are not pairwise distinct")
-    ok = not reasons
-    return SlicesReport(ok, j, tuple(points) if ok else None, tuple(reasons))
+    return _Skeleton(T).slices(W)
 
 
 def slice_points(W: AffineFlat, T: Prism) -> tuple[Vec, ...]:
@@ -891,60 +911,99 @@ def lemma32_check(V: AffineFlat, Vp: AffineFlat, T: Prism) -> bool:
     return True
 
 
-def fully_sliced_check(pj: Polyjoint) -> tuple[bool, tuple[str, ...]]:
-    """slices_check for every H_{g,k} against every prism with |h-k| <= 1."""
-    n = pj.n
-    flats = pj.joint_flats()
-    prisms = dict(zip(pj.prism_labels(), pj.prisms))
-    failures = []
-    for g in range(1, n):
-        for k in range(g, 2 * (n - 1) - g + 1, 2):
+class _LiftTables:
+    """The flats, skeletons and slices of one polyjoint, each built once.
+
+    Joint flats, every H_{g,k}, every prism skeleton and every
+    (H_{g,k}, prism) slice result are computed on first use and then shared
+    by L2.4, L2.5, L2.6 and L2.8.  Tables belong to the one call that builds
+    them; nothing is kept between calls.
+    """
+
+    def __init__(self, pj: Polyjoint):
+        self.n = pj.n
+        self.flats = pj.joint_flats()
+        self.skeletons = {
+            h: _Skeleton(T) for h, T in zip(pj.prism_labels(), pj.prisms)
+        }
+        # H_{g,k}, or the NonTransverse message it raised
+        self._H: dict[tuple[int, int], AffineFlat | str] = {}
+        self._slices: dict[tuple[int, int, int], SlicesReport] = {}
+
+    def H(self, g: int, k: int) -> AffineFlat:
+        if (g, k) not in self._H:
             try:
-                W = flat_H(g, k, flats)
+                self._H[g, k] = flat_H(g, k, self.flats)
+            except NonTransverse as exc:
+                self._H[g, k] = str(exc)
+        found = self._H[g, k]
+        if isinstance(found, str):
+            raise NonTransverse(found)
+        return found
+
+    def slices(self, g: int, k: int, h: int) -> SlicesReport:
+        if (g, k, h) not in self._slices:
+            self._slices[g, k, h] = self.skeletons[h].slices(self.H(g, k))
+        return self._slices[g, k, h]
+
+    def H_indices(self) -> list[tuple[int, int]]:
+        n = self.n
+        return [(g, k) for g in range(1, n) for k in range(g, 2 * (n - 1) - g + 1, 2)]
+
+    def fully_sliced(self) -> tuple[bool, tuple[str, ...]]:
+        failures = []
+        for g, k in self.H_indices():
+            try:
+                self.H(g, k)
             except NonTransverse as exc:
                 failures.append(f"H({g},{k}): {exc}")
                 continue
             for h in (k - 1, k, k + 1):
-                if h not in prisms:
+                if h not in self.skeletons:
                     continue
-                report = slices_check(W, prisms[h])
+                report = self.slices(g, k, h)
                 if not report.ok:
                     failures.append(
                         f"H({g},{k}) vs prism {h}: " + "; ".join(report.reasons)
                     )
-    return not failures, tuple(failures)
+        return not failures, tuple(failures)
+
+    def prism_independence(self) -> tuple[bool, tuple[str, ...]]:
+        n = self.n
+        failures = []
+        for g, k in self.H_indices():
+            try:
+                self.H(g, k)
+            except NonTransverse as exc:
+                failures.append(f"H({g},{k}): {exc}")
+                continue
+            seen: frozenset | None = None
+            for h in range(max(2, k - g), min(2 * n - 4, k + g) + 1, 2):
+                if h not in self.skeletons:
+                    continue
+                report = self.slices(g, k, h)
+                if not report.ok:
+                    failures.append(
+                        f"H({g},{k}) vs prism {h}: " + "; ".join(report.reasons)
+                    )
+                    continue
+                pts = frozenset(report.points)
+                if seen is None:
+                    seen = pts
+                elif pts != seen:
+                    failures.append(f"H({g},{k}): prism {h} slice set differs")
+        return not failures, tuple(failures)
+
+
+def fully_sliced_check(pj: Polyjoint) -> tuple[bool, tuple[str, ...]]:
+    """slices_check for every H_{g,k} against every prism with |h-k| <= 1."""
+    return _LiftTables(pj).fully_sliced()
 
 
 def prism_independence_check(pj: Polyjoint) -> tuple[bool, tuple[str, ...]]:
     """H_{g,k} ^ Sigma_g T_h yields one point set for every prism h with
     |h-k| <= g."""
-    n = pj.n
-    flats = pj.joint_flats()
-    prisms = dict(zip(pj.prism_labels(), pj.prisms))
-    failures = []
-    for g in range(1, n):
-        for k in range(g, 2 * (n - 1) - g + 1, 2):
-            try:
-                W = flat_H(g, k, flats)
-            except NonTransverse as exc:
-                failures.append(f"H({g},{k}): {exc}")
-                continue
-            seen: set | None = None
-            for h in range(max(2, k - g), min(2 * n - 4, k + g) + 1, 2):
-                if h not in prisms:
-                    continue
-                try:
-                    pts = frozenset(slice_points(W, prisms[h]))
-                except NonTransverse as exc:
-                    failures.append(f"H({g},{k}) vs prism {h}: {exc}")
-                    continue
-                if seen is None:
-                    seen = pts
-                elif pts != seen:
-                    failures.append(
-                        f"H({g},{k}): prism {h} slice set differs"
-                    )
-    return not failures, tuple(failures)
+    return _LiftTables(pj).prism_independence()
 
 
 # ---------------------------------------------------------------------------
@@ -983,9 +1042,13 @@ def collapse_line_check(P, pj: Polyjoint) -> CollapseLineReport:
     instance: the last mating stage is trapped on the projected line through
     the center of mass.
     """
+    return _collapse_line(P, pj, _LiftTables(pj))
+
+
+def _collapse_line(P, pj: Polyjoint, tables: _LiftTables) -> CollapseLineReport:
     variant = _infer_variant(P)
     n = pj.n
-    line = flat_H(n - 1, n - 1, pj.joint_flats())
+    line = tables.H(n - 1, n - 1)
     projected = line.project(pj.d)
     seqs = build_A_sequences(P, variant)
     if variant == "mirror_odd":
@@ -1100,14 +1163,15 @@ def lift_report(P, variant: str | None = None, seed: int = 0,
         )
     )
 
+    tables = _LiftTables(pj)
     recurrence_ok = all(
-        skeleton_recurrence_check(T, n - 1) for T in pj.prisms
+        skeleton.recurrence_holds(n - 1) for skeleton in tables.skeletons.values()
     )
     checks.append(
         LiftCheck("L2.4", recurrence_ok, "skeleton intersection recurrence")
     )
 
-    sliced_ok, sliced_failures = fully_sliced_check(pj)
+    sliced_ok, sliced_failures = tables.fully_sliced()
     checks.append(
         LiftCheck(
             "L2.5", sliced_ok,
@@ -1115,7 +1179,7 @@ def lift_report(P, variant: str | None = None, seed: int = 0,
         )
     )
 
-    indep_ok, indep_failures = prism_independence_check(pj)
+    indep_ok, indep_failures = tables.prism_independence()
     checks.append(
         LiftCheck(
             "L2.6", indep_ok,
@@ -1129,7 +1193,7 @@ def lift_report(P, variant: str | None = None, seed: int = 0,
         LiftCheck("L2.7", orbit.ok, "mating chain matches the map orbit")
     )
 
-    collapse = collapse_line_check(P, pj)
+    collapse = _collapse_line(P, pj, tables)
     checks.append(
         LiftCheck(
             "L2.8", collapse.ok,

@@ -1,14 +1,20 @@
 """Small exact linear algebra over the rationals.
 
-Everything here works on ``Fraction`` entries, so rank, solvability and
-transversality decisions are exact.  Matrices are lists of row lists; the
-sizes that occur in this package are tiny (at most eight or so columns), so
-plain Gaussian elimination with exact pivots is the right tool.
+The interface is ``Fraction`` in and ``Fraction`` out, so rank, solvability
+and transversality decisions are exact.  Inside, every routine runs on Python
+ints: each row is cleared of its denominators once, elimination is
+fraction-free (gcd-reduced Gauss-Jordan for ``rref`` and its callers,
+Bareiss for ``det``), and the division by the pivots happens once at the
+end.  The reduced row echelon form is unique, so the results are exactly
+those of elimination over the rationals.  Matrices are lists of row lists;
+the sizes that occur in this package are tiny (at most eight or so
+columns).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -38,101 +44,136 @@ def is_zero_vec(u: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in u)
 
 
-def rref(rows: Sequence[Sequence[Fraction]], ncols: int | None = None):
-    """Reduced row echelon form.  Returns (rows, pivot column indices)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if ncols is None:
-        ncols = len(m[0]) if m else 0
+def _integer_row(row: Sequence) -> tuple[list[int], int]:
+    """The row times the lcm of its denominators, and that lcm."""
+    ratios = [x.as_integer_ratio() if type(x) is int or type(x) is Fraction
+              else Fraction(x).as_integer_ratio() for x in row]
+    scale = lcm(*(d for _, d in ratios))
+    return [a * (scale // d) for a, d in ratios], scale
+
+
+def _eliminate(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan on the first ncols columns.
+
+    Returns integer rows and the pivot columns.  Row r < len(pivots) is a
+    multiple of row r of the reduced echelon form (pivot entry nonzero, zero
+    in every other pivot column); the rows past the pivots are zero in the
+    first ncols columns.  Every new row is divided by the gcd of its entries,
+    which keeps them as short as the minors they stand for.
+    """
+    m = [_integer_row(row)[0] for row in rows]
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if r == len(m):
+            break
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        top = m[r]
+        p = top[c]
+        for i, row in enumerate(m):
+            a = row[c]
+            if i == r or not a:
+                continue
+            g = gcd(p, a)
+            pg, ag = p // g, a // g
+            row = [pg * x - ag * y for x, y in zip(row, top)]
+            content = gcd(*row)
+            m[i] = [x // content for x in row] if content > 1 else row
         pivots.append(c)
         r += 1
-        if r == len(m):
-            break
     return m, pivots
+
+
+def rref(rows: Sequence[Sequence[Fraction]], ncols: int | None = None):
+    """Reduced row echelon form.  Returns (rows, pivot column indices).
+
+    Only the first ncols columns (all of them by default) are eliminated; any
+    further columns are carried along.
+    """
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    m, pivots = _eliminate(rows, ncols)
+    out = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+    out += [[Fraction(x) for x in row] for row in m[len(pivots):]]
+    return out, pivots
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     if not rows:
         return 0
-    _, pivots = rref(rows)
-    return len(pivots)
+    return len(_eliminate(rows, len(rows[0]))[1])
+
+
+def _kernel(m: list[list[int]], pivots: list[int], ncols: int) -> list[Vec]:
+    basis: list[Vec] = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for row, p in zip(m, pivots):
+            x[p] = Fraction(-row[f], row[p])
+        basis.append(tuple(x))
+    return basis
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Vec]:
     """Basis of {x : rows @ x = 0} in R^ncols."""
-    if not rows:
-        return [tuple(Fraction(int(i == j)) for j in range(ncols)) for i in range(ncols)]
-    m, pivots = rref(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis: list[Vec] = []
-    for f in free:
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            x[p] = -m[r][f]
-        basis.append(tuple(x))
-    return basis
+    return _kernel(*_eliminate(rows, ncols), ncols)
+
+
+def solution_space(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction],
+                   ncols: int) -> tuple[Vec, list[Vec]] | None:
+    """All solutions of rows @ x = rhs in R^ncols, from one elimination.
+
+    Returns one solution (free variables 0) and a nullspace basis, or None
+    if the system is inconsistent.
+    """
+    aug = [[*row, b] for row, b in zip(rows, rhs, strict=True)]
+    m, pivots = _eliminate(aug, ncols)
+    if any(row[ncols] for row in m[len(pivots):]):
+        return None
+    x = [Fraction(0)] * ncols
+    for row, p in zip(m, pivots):
+        x[p] = Fraction(row[ncols], row[p])
+    return tuple(x), _kernel(m, pivots, ncols)
 
 
 def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vec | None:
     """One solution of rows @ x = rhs, or None if inconsistent.  Free variables are 0."""
     if not rows:
         return ()
-    ncols = len(rows[0])
-    aug = [list(row) + [Fraction(b)] for row, b in zip(rows, rhs, strict=True)]
-    m, pivots = rref(aug, ncols)
-    for row in m:
-        if all(x == 0 for x in row[:ncols]) and row[ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = m[r][ncols]
-    return tuple(x)
+    space = solution_space(rows, rhs, len(rows[0]))
+    return None if space is None else space[0]
 
 
 def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant by exact elimination."""
+    """Determinant by Bareiss elimination: every division is exact."""
     n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    result = Fraction(1)
+    m = []
+    scale = 1
+    for row in rows:
+        ints, row_scale = _integer_row(row)
+        m.append(ints)
+        scale *= row_scale
+    sign, prev = 1, 1
     for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
+        pivot = next((i for i in range(c, n) if m[i][c]), None)
         if pivot is None:
             return Fraction(0)
         if pivot != c:
             m[c], m[pivot] = m[pivot], m[c]
-            result = -result
-        result *= m[c][c]
-        inv = 1 / m[c][c]
+            sign = -sign
+        top = m[c]
+        p = top[c]
         for i in range(c + 1, n):
-            if m[i][c] != 0:
-                factor = m[i][c] * inv
-                m[i] = [x - factor * y for x, y in zip(m[i], m[c])]
-    return result
-
-
-def independent_subset(vectors: Sequence[Sequence[Fraction]]) -> list[Vec]:
-    """Greedy maximal linearly independent subset, kept in input order."""
-    chosen: list[Vec] = []
-    r = 0
-    for v in vectors:
-        candidate = chosen + [vec(v)]
-        if rank(candidate) > r:
-            chosen = candidate
-            r += 1
-    return chosen
+            a = m[i][c]
+            m[i] = [(p * x - a * y) // prev for x, y in zip(m[i], top)]
+        prev = p
+    return Fraction(sign * prev, scale)
 
 
 def in_span(vectors: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> bool:

@@ -177,6 +177,14 @@ def test_verify_t005_a1(capsys):
     assert report["values"]["diamonds_sound"] is True
 
 
+def test_verify_t005_a1_negative_first_value(capsys):
+    # a value that starts with '-' belongs to --a1, it is not an option
+    code, out, _ = run(capsys, "verify", "--theorem", "T005", "--a1", "-3/7,1/2,2")
+    assert code == 0
+    assert json.loads(out)["values"]["constant_value"] == "29/42"
+    assert run(capsys, "verify", "--theorem", "T005", "--a1=-3/7,1/2,2")[1] == out
+
+
 def test_verify_t005_constant_row_degenerate(capsys):
     code, _, err = run(capsys, "verify", "--theorem", "T005", "--a1", "5,5,5")
     assert code == 2
@@ -284,6 +292,16 @@ def test_frieze_json(capsys):
     assert data["n"] == 3
     assert data["rows"][0] == ["inf", "inf", "inf"]
     assert data["rows"][-1] == ["3", "3", "3"]
+
+
+def test_frieze_negative_first_value(capsys):
+    code, out, _ = run(capsys, "frieze", "--a1", "-3/7,1/2,2")
+    assert code == 0
+    assert out.splitlines()[1].split() == ["-3/7", "1/2", "2"]
+    assert run(capsys, "frieze", "--a1=-3/7,1/2,2")[1] == out
+    code, out, _ = run(capsys, "frieze", "--a1", "-.5,1,3", "--json")
+    assert code == 0
+    assert json.loads(out)["rows"][1] == ["-1/2", "1", "3"]
 
 
 def test_frieze_constant_row(capsys):

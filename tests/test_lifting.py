@@ -5,15 +5,30 @@ from fractions import Fraction
 import pytest
 
 from pentagram_lab.corrugated import random_axis_aligned_m
-from pentagram_lab.errors import DimensionMismatch, NotAJoint
+from pentagram_lab import lifting
+from pentagram_lab.errors import (
+    DimensionMismatch,
+    InconsistentTags,
+    NonOrthogonalNormal,
+    NonTransverse,
+    NotAJoint,
+)
 from pentagram_lab.lifting import (
+    Joint,
+    NPoint,
     build_A_sequences,
     canonical_heights,
+    flat_H,
+    fully_sliced_check,
     general_position_check,
+    hyperplane_normal,
+    lemma32_check,
     lift_report,
     mating,
     mating_orbit_check,
     parallel_lift,
+    prism_independence_check,
+    slices_check,
     star,
 )
 from pentagram_lab.mirror import AxisAlignedMirrorPair, random_axis_aligned_mirror
@@ -130,3 +145,92 @@ def test_mating_and_star_disagree_on_wraparound():
     assert full.count == seqs[0].count
     assert partial.count == seqs[0].count - 1
     assert full.points[: partial.count] == partial.points
+
+
+def test_mating_rejects_tags_off_the_label_lattice():
+    # slot 0 averages the labels 1, 5, 4, 7, whose sum 17 is not a multiple
+    # of 4, so the child has no vertex label
+    X = NPoint(((0, 0), (1, 0), (0, 1)), (1, 5, 9), seq_label=1, period=12)
+    Y = NPoint(((0, 2), (2, 1), (3, 3)), (4, 7, 11), seq_label=3, period=12)
+    with pytest.raises(InconsistentTags) as exc:
+        mating(X, Y)
+    assert "slot 0" in str(exc.value)
+
+
+def test_hyperplane_normal_checks_orthogonality(monkeypatch):
+    J = Joint.of([(0, 0, 0), (1, 0, 0), (0, 1, 1)])
+    assert hyperplane_normal(J) == (0, -1, 1)
+    # a wrong minor must surface as a typed error, also under python -O
+    monkeypatch.setattr(lifting.linalg, "det", lambda rows: Fraction(1))
+    with pytest.raises(NonOrthogonalNormal):
+        hyperplane_normal(J)
+
+
+def test_lemma32_positional_mating_planar_n5():
+    P = random_axis_aligned(5, seed=5)
+    pj = parallel_lift(build_A_sequences(P, "planar"), canonical_heights(5, 2))
+    flats = pj.joint_flats()
+    # |J_1| ^ |J_3| = H_{2,2}, both sliced by the prism at label 2
+    assert lemma32_check(flats[1], flats[3], pj.prism_at(2))
+    # H_{2,2} ^ H_{2,4} = H_{3,3}, sliced by the prism at label 4
+    assert lemma32_check(flat_H(2, 2, flats), flat_H(2, 4, flats), pj.prism_at(4))
+    # |J_1| ^ |J_5| is no H-flat: it cuts prism 2 in repeated points
+    with pytest.raises(NonTransverse) as exc:
+        lemma32_check(flats[1], flats[5], pj.prism_at(2))
+    assert "not pairwise distinct" in str(exc.value)
+
+
+def _corrugated_lift_cut_short():
+    # with these heights H(2,4) misses a level-2 face of prisms 2 and 4
+    P = random_axis_aligned_m(3, 4, seed=0, bound=5)
+    return parallel_lift(build_A_sequences(P, "corrugated"), ((-1,), (-1,), (0,), (1,)))
+
+
+def test_slice_failures_name_each_prism():
+    pj = _corrugated_lift_cut_short()
+    miss = "face 2 at level 2 does not cut to a point"
+    assert fully_sliced_check(pj) == (False, (f"H(2,4) vs prism 4: {miss}",))
+    assert prism_independence_check(pj) == (
+        False, (f"H(2,4) vs prism 2: {miss}", f"H(2,4) vs prism 4: {miss}"),
+    )
+
+
+def test_lift_tables_match_fresh_checks():
+    # every shared H-flat and slice result equals the one computed afresh
+    pj = _corrugated_lift_cut_short()
+    tables = lifting._LiftTables(pj)
+    flats = pj.joint_flats()
+    for g, k in tables.H_indices():
+        W = flat_H(g, k, flats)
+        assert tables.H(g, k) == W
+        for h in pj.prism_labels():
+            assert tables.slices(g, k, h) == slices_check(W, pj.prism_at(h))
+
+
+# Known open defect: at n=4 about one draw in 500 fails L2.5 and L2.6,
+# because H(3,3) cuts prisms 2 and 4 in repeated points; L2.7 and L2.8 hold.
+# These are the reports as the library gives them today.  When the defect
+# is resolved, this expectation changes with it.
+OPEN_DEFECT_N4_SLICES = "; ".join(
+    f"H(3,3) vs prism {h}: slice points are not pairwise distinct" for h in (2, 4)
+)
+OPEN_DEFECT_N4_CHECKS = (
+    ("L2.1", True, "joints and prisms constructed"),
+    ("L2.2", True, "normal rank 3 of 3"),
+    ("L2.3", True, "joint centroids coincide and project to the predicted point"),
+    ("L2.4", True, "skeleton intersection recurrence"),
+    ("L2.5", False, OPEN_DEFECT_N4_SLICES),
+    ("L2.6", False, OPEN_DEFECT_N4_SLICES),
+    ("L2.7", True, "mating chain matches the map orbit"),
+    ("L2.8", True, "collapse line carries final mating points and centroid"),
+)
+
+
+@pytest.mark.parametrize("variant,sample", [
+    ("mirror_even", lambda: random_axis_aligned_mirror(4, 14234457832150684138, 10)),
+    ("planar", lambda: random_axis_aligned(4, 12131605065070490169, 10)),
+])
+def test_open_defect_n4_repeated_slice_points(variant, sample):
+    rep = lift_report(sample())
+    assert rep.variant == variant and rep.used_canonical
+    assert tuple((c.check_id, c.ok, c.detail) for c in rep.checks) == OPEN_DEFECT_N4_CHECKS
