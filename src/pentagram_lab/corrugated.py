@@ -74,10 +74,7 @@ def is_corrugated(V: PolygonM) -> bool:
     k = len(verts)
     m = V.m
     for t in range(k):
-        quad = [
-            tuple(Fraction(c) for c in verts[i % k].coords)
-            for i in (t, t + 1, t + m, t + m + 1)
-        ]
+        quad = [verts[i % k].coords for i in (t, t + 1, t + m, t + m + 1)]
         if rank(quad) != 3:
             return False
     return True

@@ -711,7 +711,15 @@ def mating_orbit_check(P, variant: str, full: bool = False) -> MatingOrbitReport
     when full is set.
     """
     ctx = _OrbitContext(P, variant)
-    seqs = build_A_sequences(P, variant)
+    return _mating_orbit(ctx, build_A_sequences(P, variant), full)[0]
+
+
+def _mating_orbit(ctx: _OrbitContext, seqs: Sequence[NPoint],
+                  full: bool) -> tuple[MatingOrbitReport, NPoint]:
+    """The mating-orbit report, and the final stage of the chain that L2.8
+    reads: the full-mating chain, or the odd-mirror star chain of window 1
+    (the first n-1 sequences)."""
+    variant = ctx.variant
     n = ctx.n
     if variant != "mirror_odd":
         stages = _run_chain(seqs, mating)
@@ -719,7 +727,8 @@ def mating_orbit_check(P, variant: str, full: bool = False) -> MatingOrbitReport
             _check_stage(ctx, stage_seqs, g + 1, expect_union=True)
             for g, stage_seqs in enumerate(stages)
         )
-        return MatingOrbitReport(variant, len(stages), per_stage, (), None)
+        report = MatingOrbitReport(variant, len(stages), per_stage, (), None)
+        return report, stages[-1][0]
 
     if full:
         windows = list(range(1, n + 1))
@@ -739,6 +748,8 @@ def mating_orbit_check(P, variant: str, full: bool = False) -> MatingOrbitReport
             for u in range(n - 1)
         ]
         stages = _run_chain(window, star)
+        if l == 1:
+            final = stages[-1][0]
         checks = []
         for g, stage_seqs in enumerate(stages):
             checks.append(_check_stage(ctx, stage_seqs, g + 1, expect_union=False))
@@ -753,7 +764,8 @@ def mating_orbit_check(P, variant: str, full: bool = False) -> MatingOrbitReport
         cross = tuple(
             unions[g] == ctx.full_tag_union(g + 1) for g in range(n - 1)
         )
-    return MatingOrbitReport(variant, n - 1, (), tuple(window_reports), cross)
+    report = MatingOrbitReport(variant, n - 1, (), tuple(window_reports), cross)
+    return report, final
 
 
 # ---------------------------------------------------------------------------
@@ -1042,19 +1054,21 @@ def collapse_line_check(P, pj: Polyjoint) -> CollapseLineReport:
     instance: the last mating stage is trapped on the projected line through
     the center of mass.
     """
-    return _collapse_line(P, pj, _LiftTables(pj))
-
-
-def _collapse_line(P, pj: Polyjoint, tables: _LiftTables) -> CollapseLineReport:
+    tables = _LiftTables(pj)
     variant = _infer_variant(P)
     n = pj.n
     line = tables.H(n - 1, n - 1)
-    projected = line.project(pj.d)
     seqs = build_A_sequences(P, variant)
     if variant == "mirror_odd":
         final = _run_chain(list(seqs[: n - 1]), star)[-1][0]
     else:
         final = _run_chain(seqs, mating)[-1][0]
+    return _collapse_line(P, variant, pj, line, final)
+
+
+def _collapse_line(P, variant: str, pj: Polyjoint, line: AffineFlat,
+                   final: NPoint) -> CollapseLineReport:
+    projected = line.project(pj.d)
     expected = expected_projected_centroid(P, variant)
     points_on = all(projected.contains(p) for p in final.points)
     centroid_on = projected.contains(expected.affine_coords())
@@ -1188,12 +1202,12 @@ def lift_report(P, variant: str | None = None, seed: int = 0,
         )
     )
 
-    orbit = mating_orbit_check(P, variant, full=full)
+    orbit, final = _mating_orbit(_OrbitContext(P, variant), seqs, full)
     checks.append(
         LiftCheck("L2.7", orbit.ok, "mating chain matches the map orbit")
     )
 
-    collapse = _collapse_line(P, pj, tables)
+    collapse = _collapse_line(P, variant, pj, tables.H(n - 1, n - 1), final)
     checks.append(
         LiftCheck(
             "L2.8", collapse.ok,

@@ -2,13 +2,13 @@
 
 The interface is ``Fraction`` in and ``Fraction`` out, so rank, solvability
 and transversality decisions are exact.  Inside, every routine runs on Python
-ints: each row is cleared of its denominators once, elimination is
-fraction-free (gcd-reduced Gauss-Jordan for ``rref`` and its callers,
-Bareiss for ``det``), and the division by the pivots happens once at the
-end.  The reduced row echelon form is unique, so the results are exactly
-those of elimination over the rationals.  Matrices are lists of row lists;
-the sizes that occur in this package are tiny (at most eight or so
-columns).
+ints: integer rows are taken as they are, any other row is cleared of its
+denominators once, elimination is fraction-free (gcd-reduced Gauss-Jordan
+for ``rref`` and its callers, Bareiss for ``det``), and the division by the
+pivots happens once at the end.  The reduced row echelon form is unique, so
+the results are exactly those of elimination over the rationals.  Matrices
+are lists of row lists; the sizes that occur in this package are tiny (at
+most eight or so columns).
 """
 
 from __future__ import annotations
@@ -44,8 +44,13 @@ def is_zero_vec(u: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in u)
 
 
-def _integer_row(row: Sequence) -> tuple[list[int], int]:
-    """The row times the lcm of its denominators, and that lcm."""
+def _integer_row(row: Sequence) -> tuple[Sequence[int], int]:
+    """The row times the lcm of its denominators, and that lcm.
+
+    An all-int row is returned as it is, with scale 1.
+    """
+    if all(type(x) is int for x in row):
+        return row, 1
     ratios = [x.as_integer_ratio() if type(x) is int or type(x) is Fraction
               else Fraction(x).as_integer_ratio() for x in row]
     scale = lcm(*(d for _, d in ratios))

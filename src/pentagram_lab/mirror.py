@@ -31,6 +31,7 @@ from .errors import (
 from .projcore import (
     ProjPoint,
     join_points,
+    meet_consecutive_chords,
     meet_lines,
     project_vertical,
     reflect_r,
@@ -68,14 +69,12 @@ def mp_step(pair: MirrorPair) -> MirrorPair:
     """Q_i = (X_i X'_{i+1}) ^ (X_{i-1} X'_i)."""
     X = pair.points
     n = len(X)
-    out = []
-    for i in range(n):
-        try:
-            left = join_points(X[i], reflect_r(X[(i + 1) % n]))
-            right = join_points(X[(i - 1) % n], reflect_r(X[i]))
-            out.append(meet_lines(left, right))
-        except DegeneracyError as exc:
-            raise type(exc)(f"output index {i + 1}: {exc}") from exc
+    # the right join X_{i-1} X'_i of output i is the left join of output i-1
+    out = meet_consecutive_chords(
+        lambda i: join_points(X[i], reflect_r(X[(i + 1) % n])),
+        n,
+        lambda i: f"output index {i + 1}",
+    )
     return MirrorPair(tuple(out))
 
 
@@ -84,13 +83,18 @@ def mp_inverse(pair: MirrorPair) -> MirrorPair:
     Q = pair.points
     n = len(Q)
     out = []
+    # each point is reflected once, in the order the joins first need it
     for i in range(n):
         try:
             left = join_points(Q[i], Q[(i + 1) % n])
-            right = join_points(reflect_r(Q[(i - 1) % n]), reflect_r(Q[i]))
+            if i == 0:
+                last = previous = reflect_r(Q[-1])
+            current = last if i == n - 1 else reflect_r(Q[i])
+            right = join_points(previous, current)
             out.append(meet_lines(left, right))
         except DegeneracyError as exc:
             raise type(exc)(f"output index {i + 1}: {exc}") from exc
+        previous = current
     return MirrorPair(tuple(out))
 
 

@@ -31,6 +31,7 @@ from .projcore import (
     ProjPoint,
     axes_normalization_map,
     join_points,
+    meet_consecutive_chords,
     meet_lines,
 )
 from .rng import SplitMix64
@@ -78,17 +79,12 @@ def pentagram_step(poly: LabeledPolygon2) -> LabeledPolygon2:
     k = len(verts)
     period = 2 * k
     new_offset = (poly.label_offset + 1) % period
-    out = []
-    for t in range(k):
-        label = (new_offset + 2 * t) % period
-        try:
-            l1 = join_points(verts[t], verts[(t + 2) % k])
-            l2 = join_points(verts[(t - 1) % k], verts[(t + 1) % k])
-            out.append(meet_lines(l1, l2))
-        except DegenerateJoin as exc:
-            raise DegenerateJoin(f"output label {label}: {exc}") from exc
-        except DegenerateMeet as exc:
-            raise DegenerateMeet(f"output label {label}: {exc}") from exc
+    # the diagonal P_{t-1} P_{t+1} of output t is P_t P_{t+2} of output t-1
+    out = meet_consecutive_chords(
+        lambda t: join_points(verts[t], verts[(t + 2) % k]),
+        k,
+        lambda t: f"output label {(new_offset + 2 * t) % period}",
+    )
     return LabeledPolygon2(tuple(out), new_offset)
 
 

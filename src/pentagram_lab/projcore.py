@@ -6,6 +6,10 @@ positive.  Two points are equal exactly when their canonical tuples are equal,
 so all downstream identity checks (collapse detection, orbit comparisons) are
 structural.
 
+The kernel is integer-native.  Joins, meets, harmonic solves and maps
+produce integer coordinates, and integer input is taken as it is: only
+rational input goes through ``Fraction`` to clear its denominators.
+
 Cross ratios on the projective line are computed from 2x2 determinants
 ``[a, b] = a_x * b_w - a_w * b_x`` so the point at infinity ``(1 : 0)`` needs
 no special casing anywhere.
@@ -14,11 +18,12 @@ no special casing anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from typing import Callable, Iterable, Sequence
 
 from . import linalg
 from .errors import (
+    DegeneracyError,
     DegenerateJoin,
     DegenerateMeet,
     DimensionMismatch,
@@ -61,23 +66,21 @@ def format_rational(value: Fraction) -> str:
 
 
 def _canonical_ints(values: Iterable[int | Fraction]) -> tuple[int, ...]:
-    fracs = [Fraction(v) for v in values]
-    if all(f == 0 for f in fracs):
+    values = tuple(values)
+    if all(type(v) is int for v in values):
+        ints = values
+    else:
+        fracs = [Fraction(v) for v in values]
+        scale = lcm(*(f.denominator for f in fracs))
+        ints = [f.numerator * (scale // f.denominator) for f in fracs]
+    g = gcd(*ints)
+    if g == 0:
         raise ValueError("homogeneous coordinates must not all vanish")
-    scale = 1
-    for f in fracs:
-        scale = scale * f.denominator // gcd(scale, f.denominator)
-    ints = [int(f * scale) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    ints = [v // g for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-u for u in ints]
-            break
-    return tuple(ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    if g == 1:
+        return tuple(ints)
+    return tuple(v // g for v in ints)
 
 
 class ProjPoint:
@@ -95,14 +98,14 @@ class ProjPoint:
 
     @classmethod
     def affine(cls, *xs: int | Fraction) -> "ProjPoint":
-        return cls(tuple(Fraction(x) for x in xs) + (Fraction(1),))
+        return cls((*xs, 1))
 
     @classmethod
     def p1(cls, value) -> "ProjPoint":
         """Point of the projective line from a rational value or INF."""
         if isinstance(value, Infinity):
             return cls((1, 0))
-        return cls((Fraction(value), Fraction(1)))
+        return cls((value, 1))
 
     @property
     def dim(self) -> int:
@@ -203,6 +206,30 @@ def meet_lines(l1: ProjLine2, l2: ProjLine2) -> ProjPoint:
     return ProjPoint(_cross3(l1.coeffs, l2.coeffs))
 
 
+def meet_consecutive_chords(chord: Callable[[int], ProjLine2], k: int,
+                            where: Callable[[int], str]) -> list[ProjPoint]:
+    """[chord(t) ^ chord(t - 1) for t in range(k)], indices mod k.
+
+    Each chord is built once, in the order the meets first need it: chords 0
+    and k - 1 for meet 0, then chord t for meet t.  A degenerate join or meet
+    raises its own error type, with the message prefixed by ``where(t)`` for
+    the first meet that needs it.
+    """
+    chords = [None] * k
+    out = []
+    for t in range(k):
+        try:
+            if t == 0:
+                chords[0] = chord(0)
+                chords[-1] = chord(k - 1)
+            elif t < k - 1:
+                chords[t] = chord(t)
+            out.append(meet_lines(chords[t], chords[t - 1]))
+        except DegeneracyError as exc:
+            raise type(exc)(f"{where(t)}: {exc}") from exc
+    return out
+
+
 def meet_coplanar_lines(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint) -> ProjPoint:
     """Intersection of lines ab and cd in P^m, for coplanar quadruples.
 
@@ -218,25 +245,21 @@ def meet_coplanar_lines(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint) 
         raise DimensionMismatch("meet_coplanar_lines needs ambient dimension >= 2")
     if a == b or c == d:
         raise DegenerateJoin("meet_coplanar_lines needs two genuine lines")
-    rows = [list(map(Fraction, p.coords)) for p in (a, b, c, d)]
-    r = linalg.rank(rows)
-    if r == 4:
-        raise NonCoplanarDiagonals("the two lines are skew")
-    if r < 3:
-        raise DegenerateMeet("the two lines coincide")
-    # columns a, b, -c, -d; a kernel vector gives the meet as lambda*a + mu*b
+    # columns a, b, -c, -d: the kernel has dimension 4 - rank(a, b, c, d),
+    # and a kernel vector gives the meet as lambda*a + mu*b
     system = [
-        [Fraction(a.coords[i]), Fraction(b.coords[i]), Fraction(-c.coords[i]), Fraction(-d.coords[i])]
-        for i in range(dim + 1)
+        [a.coords[i], b.coords[i], -c.coords[i], -d.coords[i]] for i in range(dim + 1)
     ]
     kernel = linalg.nullspace(system, 4)
-    if len(kernel) != 1:
-        raise DegenerateMeet("intersection is not a single point")
+    if not kernel:
+        raise NonCoplanarDiagonals("the two lines are skew")
+    if len(kernel) > 1:
+        raise DegenerateMeet("the two lines coincide")
     lam, mu, _, _ = kernel[0]
-    coords = [lam * a.coords[i] + mu * b.coords[i] for i in range(dim + 1)]
-    if all(x == 0 for x in coords):
-        raise DegenerateMeet("kernel vector does not produce a point")
-    return ProjPoint(coords)
+    scale = lcm(lam.denominator, mu.denominator)
+    lam = lam.numerator * (scale // lam.denominator)
+    mu = mu.numerator * (scale // mu.denominator)
+    return ProjPoint([lam * x + mu * y for x, y in zip(a.coords, b.coords)])
 
 
 def _det2(p: ProjPoint, q: ProjPoint) -> int:
@@ -330,7 +353,7 @@ class ProjMap:
             raise DimensionMismatch("projective maps need a square matrix of size >= 2")
         flat = _canonical_ints([x for row in rows for x in row])
         matrix = tuple(tuple(flat[i * size + j] for j in range(size)) for i in range(size))
-        if linalg.det([[Fraction(x) for x in row] for row in matrix]) == 0:
+        if linalg.det(matrix) == 0:
             raise ValueError("projective map matrix must be invertible")
         self.matrix = matrix
 
@@ -373,7 +396,7 @@ def _adjugate(matrix: Sequence[Sequence[int]]) -> list[list[Fraction]]:
     for i in range(n):
         for j in range(n):
             minor = [
-                [Fraction(matrix[r][c]) for c in range(n) if c != j]
+                [matrix[r][c] for c in range(n) if c != j]
                 for r in range(n)
                 if r != i
             ]
@@ -406,7 +429,7 @@ def axes_normalization_map(p: ProjPoint, q: ProjPoint) -> ProjMap:
         third = [1 if i == k else 0 for i in range(3)]
         cols = [list(p.coords), list(q.coords), third]
         matrix = [[cols[j][i] for j in range(3)] for i in range(3)]
-        if linalg.det([[Fraction(x) for x in row] for row in matrix]) != 0:
+        if linalg.det(matrix) != 0:
             return ProjMap(_adjugate(matrix))
     raise DegenerateJoin("could not complete a projective basis")  # pragma: no cover
 
@@ -425,5 +448,5 @@ def random_projective_map(dim: int, rng, bound: int = 9) -> ProjMap:
     n = dim + 1
     while True:
         rows = [[rng.below(2 * bound + 1) - bound for _ in range(n)] for _ in range(n)]
-        if linalg.det([[Fraction(x) for x in row] for row in rows]) != 0:
+        if linalg.det(rows) != 0:
             return ProjMap(rows)

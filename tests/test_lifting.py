@@ -234,3 +234,45 @@ def test_open_defect_n4_repeated_slice_points(variant, sample):
     rep = lift_report(sample())
     assert rep.variant == variant and rep.used_canonical
     assert tuple((c.check_id, c.ok, c.detail) for c in rep.checks) == OPEN_DEFECT_N4_CHECKS
+
+
+@pytest.mark.parametrize("sample, chains", [
+    (lambda: random_axis_aligned(5, seed=5), 1),
+    (lambda: random_axis_aligned_m(3, 3, seed=0), 1),
+    (lambda: random_axis_aligned_mirror(4, seed=4), 1),
+    # two star-mating windows; L2.8 reads the final stage of window 1
+    (lambda: random_axis_aligned_mirror(5, seed=5), 2),
+], ids=["planar", "corrugated", "mirror_even", "mirror_odd"])
+def test_lift_report_builds_sequences_and_chain_once(monkeypatch, sample, chains):
+    P = sample()
+    calls = {"build_A_sequences": 0, "_run_chain": 0}
+    collapse = []
+
+    def counted(name):
+        original = getattr(lifting, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    def spy(*args):
+        collapse.append(original_collapse_line(*args))
+        return collapse[-1]
+
+    original_collapse_line = lifting._collapse_line
+    for name in calls:
+        monkeypatch.setattr(lifting, name, counted(name))
+    monkeypatch.setattr(lifting, "_collapse_line", spy)
+    rep = lift_report(P)
+    monkeypatch.undo()
+    assert rep.ok
+    assert calls == {"build_A_sequences": 1, "_run_chain": chains}
+    # L2.7 and L2.8 give what the stand-alone checks give
+    seqs = build_A_sequences(P, rep.variant)
+    if rep.variant == "mirror_odd":
+        seqs = seqs[:-1]
+    pj = parallel_lift(seqs, rep.heights)
+    assert collapse == [lifting.collapse_line_check(P, pj)]
+    assert rep.checks[6].ok == mating_orbit_check(P, rep.variant).ok

@@ -122,3 +122,50 @@ def test_correspondence_exact_orbitwise():
             continue
         done += 1
     assert done == 25
+
+
+def test_degenerate_draw_wrap_around_cross_join_label():
+    # at step 3 the last point equals the reflection of the first, so the
+    # wrap-around cross join X_5 X'_1 degenerates; output 1 needs it first
+    with pytest.raises(DegenerateJoin) as info:
+        verify_T007(random_axis_aligned_mirror(5, 9428158358266441515, 10))
+    assert str(info.value) == (
+        "step 3: output index 1: join of coincident points (0 : 1 : 3)"
+    )
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        # X_3 = X'_1: only the wrap-around cross join X_3 X'_1 is degenerate
+        ([(1, 2), (3, 5), (1, -2)],
+         "output index 1: join of coincident points (1 : -2 : 1)"),
+        # X_1 = X'_2: only the cross join X_1 X'_2 is degenerate
+        ([(1, 2), (1, -2), (4, 7)],
+         "output index 1: join of coincident points (1 : 2 : 1)"),
+        # X_2 = X'_3: only X_2 X'_3 is degenerate; output 2 needs it first
+        ([(1, 2), (3, 5), (3, -5), (4, 7)],
+         "output index 2: join of coincident points (3 : 5 : 1)"),
+    ],
+    ids=["wrap-around", "first", "middle"],
+)
+def test_degenerate_cross_join_label(points, message):
+    pair = MirrorPair.of([pt2(x, y) for x, y in points])
+    with pytest.raises(DegenerateJoin) as info:
+        mp_step(pair)
+    assert str(info.value) == message
+
+
+def test_inverse_degenerate_join_labels():
+    # Q_2 = Q_3 spoils the join Q_2 Q_3 (output 2) and the reflected join
+    # Q'_2 Q'_3 (output 3); output 2 comes first
+    pair = MirrorPair((pt2(1, 2), pt2(3, 5), pt2(3, 5), pt2(4, 7)))
+    with pytest.raises(DegenerateJoin) as info:
+        mp_inverse(pair)
+    assert str(info.value) == "output index 2: join of coincident points (3 : 5 : 1)"
+    # Q_4 = Q_1 spoils Q_4 Q_1 (output 4) and the wrap-around Q'_4 Q'_1,
+    # which output 1 needs first
+    pair = MirrorPair((pt2(1, 2), pt2(3, 5), pt2(6, 1), pt2(1, 2)))
+    with pytest.raises(DegenerateJoin) as info:
+        mp_inverse(pair)
+    assert str(info.value) == "output index 1: join of coincident points (1 : -2 : 1)"

@@ -135,3 +135,43 @@ def test_sampler_deterministic():
     a = random_axis_aligned(4, seed=11)
     b = random_axis_aligned(4, seed=11)
     assert a.underlying.vertices == b.underlying.vertices
+
+
+# --- error labels of degenerate steps ---------------------------------------
+# A degenerate diagonal is reported against the first output that needs it.
+# Output t of a step from label offset 1 carries label 2 + 2t.
+
+
+def test_degenerate_draw_n8_seed1_label():
+    # a genuine coincidence, not a kernel gap: see
+    # test_kernel_oracle.test_n8_seed1_step1_vertices_are_collinear
+    with pytest.raises(DegenerateMeet) as info:
+        collapse_orbit(random_axis_aligned(8, 1))
+    assert str(info.value) == (
+        "step 2: output label 23: meet of identical lines [9 : -10 : 18]"
+    )
+
+
+@pytest.mark.parametrize(
+    "vertices, message",
+    [
+        # v5 == v1: only the wrap-around diagonal v5 v1 is degenerate; the
+        # step needs it first for output 0
+        (
+            [(0, 0), (4, 0), (4, 2), (1, 2), (1, 5), (4, 0)],
+            "output label 2: join of coincident points (4 : 0 : 1)",
+        ),
+        # v4 == v2: only the diagonal v2 v4 is degenerate; output 2 needs it
+        # first, output 3 again
+        (
+            [(0, 0), (4, 0), (4, 2), (1, 2), (4, 2), (0, 5)],
+            "output label 6: join of coincident points (4 : 2 : 1)",
+        ),
+    ],
+    ids=["wrap-around", "middle"],
+)
+def test_degenerate_diagonal_label(vertices, message):
+    poly = LabeledPolygon2.of([pt2(x, y) for x, y in vertices], 1)
+    with pytest.raises(DegenerateJoin) as info:
+        pentagram_step(poly)
+    assert str(info.value) == message
