@@ -55,7 +55,6 @@ from .lifting import (
     Polyjoint,
     Prism,
     build_A_sequences,
-    canonical_lift_L0,
     collapse_line_check,
     centroid_coincidence_check,
     flat_H,

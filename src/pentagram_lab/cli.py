@@ -34,12 +34,12 @@ from .corrugated import (
 )
 from .errors import DegeneracyError, PentagramError, UsageError
 from .frieze import (
+    _report_T005,
     build_pattern,
     diamond_soundness,
     random_a1,
     render_staggered,
     row_from_values,
-    verify_T005,
 )
 from .lifting import lift_report
 from .lower1d import (
@@ -293,8 +293,9 @@ def _check_T003(P: AxisAlignedM):
 
 
 def _check_T005(row):
-    rep = verify_T005(row)
-    diamonds = diamond_soundness(build_pattern(row))
+    pattern = build_pattern(row)
+    rep = _report_T005(pattern)
+    diamonds = diamond_soundness(pattern)
     values = {
         "constant_value": _fmt_point(rep.value) if rep.value is not None else None,
         "diamonds_sound": diamonds,

@@ -154,7 +154,12 @@ class T005Report:
 
 def verify_T005(A1: Row) -> T005Report:
     """Rows A_{2n-1} and A_{2n} are constant and equal the mean of A_1."""
-    pattern = build_pattern(A1)
+    return _report_T005(build_pattern(A1))
+
+
+def _report_T005(pattern: FriezePattern) -> T005Report:
+    """``verify_T005`` on a pattern already built from its row A_1."""
+    A1 = pattern.rows[1]
     n = pattern.n
     penultimate, last = pattern.rows[2 * n - 1], pattern.rows[2 * n]
     mean = Fraction(sum(p.p1_value() for p in A1), n)

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from math import gcd
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -149,80 +149,136 @@ def hyperplane_normal(J: Joint) -> Vec:
     return normal
 
 
-@dataclass(frozen=True)
 class AffineFlat:
-    """base + span(basis) in canonical form, so equality is structural.
+    """base + span(basis) in canonical integer form, so equality is structural.
 
-    The basis rows are the reduced echelon basis of the direction space and
-    the base point is the unique representative with zeros in the pivot
-    coordinates.  The dual form, equations whose solution set is the flat,
-    is computed on first use and kept.
+    The direction space is kept as its reduced echelon basis, each row scaled
+    to the primitive integer row whose pivot entry is positive.  The base
+    point is the unique representative with zeros in the pivot columns, kept
+    as integer numerators over one positive denominator with no common
+    factor.  Both forms are unique, so equal flats have equal forms.  ``base``
+    and ``basis`` give the same point and reduced rows as ``Fraction`` tuples.
+    The dual form, primitive integer rows [a | c] with the flat equal to
+    {x : a x = c}, is read off the echelon rows on first use and kept.
     """
 
-    base: Vec
-    basis: tuple[Vec, ...]
+    __slots__ = ("_num", "_den", "_rows", "_pivots", "_eqs")
+
+    def __init__(self, base, directions):
+        num, den = linalg.integer_row(tuple(base))
+        self._set(num, den, [linalg.integer_row(tuple(d))[0] for d in directions])
 
     @classmethod
     def of(cls, base, directions) -> "AffineFlat":
-        base = tuple(Fraction(c) for c in base)
-        rows = [list(d) for d in directions if not linalg.is_zero_vec(d)]
-        if rows:
-            reduced, pivots = linalg.rref(rows, len(base))
-            basis = tuple(tuple(r) for r in reduced[: len(pivots)])
-        else:
-            basis, pivots = (), []
-        point = list(base)
-        for row, p in zip(basis, pivots):
-            if point[p] != 0:
-                factor = point[p]
-                point = [x - factor * y for x, y in zip(point, row)]
-        return cls(tuple(point), basis)
+        return cls(base, directions)
 
     @classmethod
     def from_points(cls, points) -> "AffineFlat":
-        points = [tuple(Fraction(c) for c in p) for p in points]
-        return cls.of(points[0], [linalg.vec_sub(p, points[0]) for p in points[1:]])
+        points = [linalg.integer_row(tuple(p)) for p in points]
+        num0, den0 = points[0]
+        gaps = [
+            [x * den0 - x0 * den for x, x0 in zip(num, num0, strict=True)]
+            for num, den in points[1:]
+        ]
+        return cls._canonical(num0, den0, gaps)
+
+    @classmethod
+    def _canonical(cls, num, den, directions) -> "AffineFlat":
+        """The flat num/den + span(directions), from ints (den > 0)."""
+        flat = object.__new__(cls)
+        flat._set(num, den, directions)
+        return flat
+
+    def _set(self, num, den, directions) -> None:
+        rows, pivots = linalg.integer_echelon(directions, len(num))
+        for row, p in zip(rows, pivots):
+            a = num[p]
+            if a:
+                d = row[p]
+                num = [d * x - a * y for x, y in zip(num, row)]
+                den *= d
+        g = gcd(den, *num)
+        self._num = tuple(num) if g == 1 else tuple(x // g for x in num)
+        self._den = den // g
+        self._rows = tuple(map(tuple, rows))
+        self._pivots = tuple(pivots)
+        self._eqs = None
+
+    @property
+    def base(self) -> Vec:
+        den = self._den
+        return tuple(Fraction(x, den) for x in self._num)
+
+    @property
+    def basis(self) -> tuple[Vec, ...]:
+        return tuple(
+            tuple(Fraction(x, row[p]) for x in row)
+            for row, p in zip(self._rows, self._pivots)
+        )
 
     @property
     def ambient(self) -> int:
-        return len(self.base)
+        return len(self._num)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._rows)
 
     @property
     def codim(self) -> int:
         return self.ambient - self.dim
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._den == other._den and self._num == other._num
+                and self._rows == other._rows)
+
+    def __hash__(self):
+        return hash((self._num, self._den, self._rows))
+
+    def __repr__(self):
+        return f"AffineFlat(base={self.base!r}, basis={self.basis!r})"
+
+    def _equation_rows(self) -> list[tuple[int, ...]]:
+        """One primitive row [a | c] per free column: a is den times a kernel
+        row k of the echelon rows, and c = k . num."""
+        if self._eqs is None:
+            num, den = self._num, self._den
+            eqs = []
+            for k, _ in linalg.integer_kernel(self._rows, self._pivots, len(num)):
+                eq = [den * x for x in k]
+                eq.append(sum(x * y for x, y in zip(k, num) if x))
+                g = gcd(*eq)
+                eqs.append(tuple(eq) if g == 1 else tuple(x // g for x in eq))
+            self._eqs = eqs
+        return self._eqs
+
     def contains(self, point: Sequence[Fraction]) -> bool:
-        return linalg.in_span(self.basis, linalg.vec_sub(tuple(point), self.base))
-
-    @cached_property
-    def _equations(self) -> tuple[tuple[Vec, ...], tuple[Fraction, ...]]:
-        normals = tuple(linalg.nullspace(self.basis, self.ambient))
-        return normals, tuple(linalg.vec_dot(nrm, self.base) for nrm in normals)
-
-    def equations(self) -> tuple[list[Vec], list[Fraction]]:
-        """Rows N and rhs c with the flat equal to {x : N x = c}."""
-        normals, rhs = self._equations
-        return list(normals), list(rhs)
+        ints, scale = linalg.integer_row(tuple(point))
+        return all(
+            sum(a * x for a, x in zip(eq[:-1], ints, strict=True)) == eq[-1] * scale
+            for eq in self._equation_rows()
+        )
 
     def intersect(self, other: "AffineFlat") -> "AffineFlat | None":
-        rows_a, rhs_a = self._equations
-        rows_b, rhs_b = other._equations
-        space = linalg.solution_space(rows_a + rows_b, rhs_a + rhs_b, self.ambient)
+        space = linalg.integer_solution_space(
+            self._equation_rows() + other._equation_rows(), self.ambient
+        )
         if space is None:
             return None
-        return AffineFlat.of(*space)
+        num, den, kernel = space
+        return AffineFlat._canonical(num, den, [row for row, _ in kernel])
 
     def span_with(self, other: "AffineFlat") -> "AffineFlat":
-        gap = linalg.vec_sub(other.base, self.base)
-        return AffineFlat.of(self.base, [*self.basis, *other.basis, gap])
+        gap = [xb * self._den - xa * other._den
+               for xa, xb in zip(self._num, other._num, strict=True)]
+        return AffineFlat._canonical(self._num, self._den, [*self._rows, *other._rows, gap])
 
     def project(self, d: int) -> "AffineFlat":
         """Image under dropping all coordinates past the first d."""
-        return AffineFlat.of(self.base[:d], [b[:d] for b in self.basis])
+        return AffineFlat._canonical(self._num[:d], self._den,
+                                     [row[:d] for row in self._rows])
 
 
 def joint_flat(J: Joint) -> AffineFlat:
@@ -418,11 +474,6 @@ def parallel_lift(seqs: Sequence[NPoint], heights) -> Polyjoint:
     )
 
 
-def canonical_lift_L0(seqs: Sequence[NPoint]) -> Polyjoint:
-    seqs = tuple(seqs)
-    return parallel_lift(seqs, canonical_heights(seqs[0].count, seqs[0].d))
-
-
 def general_position_check(joints: Sequence[Joint]) -> bool:
     """Every subset of at most n normals is linearly independent.
 
@@ -438,12 +489,17 @@ def general_position_check(joints: Sequence[Joint]) -> bool:
         raise NotAJoint("joints live in different spaces")
     if len(joints) > n:
         return False
-    normals = [list(hyperplane_normal(J)) for J in joints]
-    if len(normals) == n - 1:
+    return _independent_normals([hyperplane_normal(J) for J in joints], n)
+
+
+def _independent_normals(normals: Sequence[Vec], n: int) -> bool:
+    """The normals (at most n of them, in R^n) are linearly independent."""
+    rows = [list(v) for v in normals]
+    if len(rows) == n - 1:
         v0 = [Fraction(1 if i == 1 else 0) for i in range(n)]
-        if linalg.det(normals + [v0]) != 0:
+        if linalg.det(rows + [v0]) != 0:
             return True
-    return linalg.rank(normals) == len(normals)
+    return linalg.rank(rows) == len(rows)
 
 
 @dataclass(frozen=True)
@@ -489,14 +545,13 @@ def line_meet(p0: Vec, p1: Vec, q0: Vec, q1: Vec) -> Vec:
     u = linalg.vec_sub(p1, p0)
     v = linalg.vec_sub(q1, q0)
     w = linalg.vec_sub(q0, p0)
-    if linalg.rank([u, v, w]) > 2:
+    # p0 + t u = q0 + s v: one elimination decides meet, skew and parallel
+    space = linalg.solution_space([[a, -b] for a, b in zip(u, v)], w, 2)
+    if space is None and linalg.rank([u, v]) == 2:
         raise NonCoplanarDiagonals("lines are skew")
-    if linalg.rank([u, v]) == 1:
+    if space is None or space[1]:
         raise DegenerateMeet("parallel or identical lines have no single meet")
-    sol = linalg.solve([[a, -b] for a, b in zip(u, v)], list(w))
-    if sol is None:
-        raise DegenerateMeet("coplanar lines failed to meet")
-    return linalg.vec_add(p0, linalg.vec_scale(u, sol[0]))
+    return linalg.vec_add(p0, linalg.vec_scale(u, space[0][0]))
 
 
 def _child_tag(X: NPoint, slot: int) -> object:
@@ -1145,7 +1200,10 @@ def lift_report(P, variant: str | None = None, seed: int = 0,
         except (NotAJoint, DegenerateSpan) as exc:
             construction_error = str(exc)
             continue
-        if general_position_check(candidate.joints):
+        # general_position_check on the joints, keeping the normals for L2.2
+        normals = tuple(hyperplane_normal(J) for J in candidate.joints)
+        general = _independent_normals(normals, n)
+        if general:
             pj = candidate
             used_canonical = attempt == 0
             break
@@ -1155,15 +1213,10 @@ def lift_report(P, variant: str | None = None, seed: int = 0,
             f"no usable lift within {attempts + 1} attempts: {construction_error}"
         )
 
-    normals = tuple(hyperplane_normal(J) for J in pj.joints)
     normal_rank = linalg.rank([list(v) for v in normals])
     checks = [
         LiftCheck("L2.1", True, "joints and prisms constructed"),
-        LiftCheck(
-            "L2.2",
-            general_position_check(pj.joints),
-            f"normal rank {normal_rank} of {len(normals)}",
-        ),
+        LiftCheck("L2.2", general, f"normal rank {normal_rank} of {len(normals)}"),
     ]
 
     centroid = centroid_coincidence_check(pj, expected_projected_centroid(P, variant))

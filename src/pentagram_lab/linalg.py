@@ -1,14 +1,23 @@
 """Small exact linear algebra over the rationals.
 
-The interface is ``Fraction`` in and ``Fraction`` out, so rank, solvability
-and transversality decisions are exact.  Inside, every routine runs on Python
-ints: integer rows are taken as they are, any other row is cleared of its
-denominators once, elimination is fraction-free (gcd-reduced Gauss-Jordan
-for ``rref`` and its callers, Bareiss for ``det``), and the division by the
-pivots happens once at the end.  The reduced row echelon form is unique, so
-the results are exactly those of elimination over the rationals.  Matrices
-are lists of row lists; the sizes that occur in this package are tiny (at
-most eight or so columns).
+The ``Fraction`` interface (``rref``, ``rank``, ``nullspace``,
+``solution_space``, ``solve``, ``det``) takes rational rows and returns
+``Fraction`` results, so rank, solvability and transversality decisions are
+exact.  Inside, every routine runs on Python ints: integer rows are taken as
+they are, any other row is cleared of its denominators once, elimination is
+fraction-free (gcd-reduced Gauss-Jordan for ``rref`` and its callers, Bareiss
+for ``det``), and the division by the pivots happens once at the end.  The
+reduced row echelon form is unique, so the results are exactly those of
+elimination over the rationals.
+
+Callers that keep their own data in ints use the integer interface:
+``integer_echelon`` gives the reduced echelon rows as primitive integer rows,
+``integer_kernel`` the kernel rows read off echelon rows, and
+``integer_solution_space`` the solutions of an augmented system as numerators
+over one denominator plus integer kernel rows; ``solution_space`` and
+``nullspace`` are ``Fraction`` wrappers over the same step.  Matrices are
+lists of row lists; the sizes that occur in this package are tiny (at most
+eight or so columns).
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ def is_zero_vec(u: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in u)
 
 
-def _integer_row(row: Sequence) -> tuple[Sequence[int], int]:
+def integer_row(row: Sequence) -> tuple[Sequence[int], int]:
     """The row times the lcm of its denominators, and that lcm.
 
     An all-int row is returned as it is, with scale 1.
@@ -66,7 +75,7 @@ def _eliminate(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[int]], l
     first ncols columns.  Every new row is divided by the gcd of its entries,
     which keeps them as short as the minors they stand for.
     """
-    m = [_integer_row(row)[0] for row in rows]
+    m = [integer_row(row)[0] for row in rows]
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -112,22 +121,70 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(_eliminate(rows, len(rows[0]))[1])
 
 
-def _kernel(m: list[list[int]], pivots: list[int], ncols: int) -> list[Vec]:
-    basis: list[Vec] = []
+def integer_echelon(rows: Sequence[Sequence], ncols: int) -> tuple[list[Sequence[int]], list[int]]:
+    """Reduced row echelon form of the first ncols columns, in ints.
+
+    Returns one row per pivot column and the pivot columns.  Each row is the
+    reduced echelon row scaled to the primitive integer row (gcd 1) whose
+    pivot entry is positive, so the rows are unique for the row space.
+    """
+    m, pivots = _eliminate(rows, ncols)
+    out = []
+    for row, p in zip(m, pivots):
+        g = gcd(*row)
+        if row[p] < 0:
+            g = -g
+        out.append(row if g == 1 else [x // g for x in row])
+    return out, pivots
+
+
+def integer_kernel(m: Sequence[Sequence[int]], pivots: Sequence[int],
+                   ncols: int) -> list[tuple[list[int], int]]:
+    """Integer kernel rows of an eliminated system, one per free column f.
+
+    m holds one integer row per pivot, a multiple of the reduced echelon row
+    (as ``_eliminate`` and ``integer_echelon`` give them).  Each kernel row
+    comes with its entry in column f, a positive scale: the row over its
+    scale is the kernel vector with 1 in column f and 0 in the other free
+    columns.
+    """
+    basis = []
     for f in range(ncols):
         if f in pivots:
             continue
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
-        for row, p in zip(m, pivots):
-            x[p] = Fraction(-row[f], row[p])
-        basis.append(tuple(x))
+        used = [(row, p) for row, p in zip(m, pivots) if row[f]]
+        scale = lcm(*(row[p] for row, p in used))
+        x = [0] * ncols
+        x[f] = scale
+        for row, p in used:
+            x[p] = -row[f] * (scale // row[p])
+        basis.append((x, scale))
     return basis
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Vec]:
     """Basis of {x : rows @ x = 0} in R^ncols."""
-    return _kernel(*_eliminate(rows, ncols), ncols)
+    return [tuple(Fraction(x, scale) for x in row)
+            for row, scale in integer_kernel(*_eliminate(rows, ncols), ncols)]
+
+
+def integer_solution_space(aug: Sequence[Sequence], ncols: int):
+    """All solutions of the augmented system [A | b] in Q^ncols, in ints.
+
+    One elimination of the rows [A | b] (A has ncols columns).  Returns
+    ``(num, den, kernel)``: the solution with free variables 0 is num / den,
+    where den > 0 is the lcm of the pivots, and kernel holds the integer
+    kernel rows with their scales, as ``integer_kernel`` gives them.  Returns None
+    if the system is inconsistent.
+    """
+    m, pivots = _eliminate(aug, ncols)
+    if any(row[ncols] for row in m[len(pivots):]):
+        return None
+    den = lcm(*(row[p] for row, p in zip(m, pivots)))
+    num = [0] * ncols
+    for row, p in zip(m, pivots):
+        num[p] = row[ncols] * (den // row[p])
+    return num, den, integer_kernel(m, pivots, ncols)
 
 
 def solution_space(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction],
@@ -138,13 +195,12 @@ def solution_space(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction],
     if the system is inconsistent.
     """
     aug = [[*row, b] for row, b in zip(rows, rhs, strict=True)]
-    m, pivots = _eliminate(aug, ncols)
-    if any(row[ncols] for row in m[len(pivots):]):
+    space = integer_solution_space(aug, ncols)
+    if space is None:
         return None
-    x = [Fraction(0)] * ncols
-    for row, p in zip(m, pivots):
-        x[p] = Fraction(row[ncols], row[p])
-    return tuple(x), _kernel(m, pivots, ncols)
+    num, den, kernel = space
+    return (tuple(Fraction(x, den) for x in num),
+            [tuple(Fraction(x, scale) for x in row) for row, scale in kernel])
 
 
 def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vec | None:
@@ -161,7 +217,7 @@ def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     m = []
     scale = 1
     for row in rows:
-        ints, row_scale = _integer_row(row)
+        ints, row_scale = integer_row(row)
         m.append(ints)
         scale *= row_scale
     sign, prev = 1, 1

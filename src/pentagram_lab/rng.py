@@ -74,9 +74,6 @@ class SplitMix64:
                 values.append(value)
         return values
 
-    def choice_index(self, count: int) -> int:
-        return self.below(count)
-
 
 def trial_seed(base_seed: int, index: int) -> int:
     """Seed for the index-th trial of a batch (documented as seed + index)."""

@@ -1,0 +1,329 @@
+"""AffineFlat and line_meet against a plain Fraction reference.
+
+``RefFlat`` is the Fraction form of ``AffineFlat``: a reduced echelon basis
+with pivot 1, a base point with zeros in the pivot columns, and equations
+taken from the nullspace of the basis.  It runs on the small Gauss-Jordan
+loop over ``Fraction`` below and shares no code with the library, so every
+result of the integer ``AffineFlat`` must equal it exactly.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pentagram_lab.errors import DegenerateJoin, DegenerateMeet, NonCoplanarDiagonals
+from pentagram_lab.lifting import AffineFlat, NPoint, line_meet, mating, star
+
+# ---------------------------------------------------------------------------
+# reference: exact Gauss-Jordan over Fraction
+
+
+def _rref(rows, ncols):
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        lead = m[r][c]
+        m[r] = [x / lead for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                factor = m[i][c]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def _nullspace(rows, ncols):
+    m, pivots = _rref(rows, ncols)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for row, p in zip(m, pivots):
+            x[p] = -row[f]
+        basis.append(tuple(x))
+    return basis
+
+
+def _solution_space(rows, rhs, ncols):
+    m, pivots = _rref([[*row, b] for row, b in zip(rows, rhs)], ncols)
+    if any(row[ncols] != 0 for row in m[len(pivots):]):
+        return None
+    x = [Fraction(0)] * ncols
+    for row, p in zip(m, pivots):
+        x[p] = row[ncols]
+    return tuple(x), _nullspace(rows, ncols)
+
+
+def _rank(rows):
+    return len(_rref(rows, len(rows[0]))[1]) if rows else 0
+
+
+def _sub(u, v):
+    return tuple(a - b for a, b in zip(u, v, strict=True))
+
+
+class RefFlat:
+    def __init__(self, base, basis):
+        self.base = base
+        self.basis = basis
+
+    @classmethod
+    def of(cls, base, directions):
+        base = tuple(Fraction(c) for c in base)
+        rows = [list(d) for d in directions if any(c != 0 for c in d)]
+        if rows:
+            reduced, pivots = _rref(rows, len(base))
+            basis = tuple(tuple(r) for r in reduced[: len(pivots)])
+        else:
+            basis, pivots = (), []
+        point = list(base)
+        for row, p in zip(basis, pivots):
+            if point[p] != 0:
+                factor = point[p]
+                point = [x - factor * y for x, y in zip(point, row)]
+        return cls(tuple(point), basis)
+
+    @classmethod
+    def from_points(cls, points):
+        points = [tuple(Fraction(c) for c in p) for p in points]
+        return cls.of(points[0], [_sub(p, points[0]) for p in points[1:]])
+
+    @property
+    def dim(self):
+        return len(self.basis)
+
+    @property
+    def codim(self):
+        return len(self.base) - self.dim
+
+    def contains(self, point):
+        base = [list(b) for b in self.basis]
+        return _rank(base + [list(_sub(tuple(point), self.base))]) == _rank(base)
+
+    def _equations(self):
+        normals = _nullspace(self.basis, len(self.base))
+        return normals, [sum(a * b for a, b in zip(nrm, self.base)) for nrm in normals]
+
+    def intersect(self, other):
+        rows_a, rhs_a = self._equations()
+        rows_b, rhs_b = other._equations()
+        space = _solution_space(rows_a + rows_b, rhs_a + rhs_b, len(self.base))
+        return None if space is None else RefFlat.of(*space)
+
+    def span_with(self, other):
+        return RefFlat.of(self.base, [*self.basis, *other.basis, _sub(other.base, self.base)])
+
+    def project(self, d):
+        return RefFlat.of(self.base[:d], [b[:d] for b in self.basis])
+
+
+def ref_line_meet(p0, p1, q0, q1):
+    if p0 == p1 or q0 == q1:
+        raise DegenerateJoin("cannot join coincident points")
+    u, v, w = _sub(p1, p0), _sub(q1, q0), _sub(q0, p0)
+    if _rank([u, v, w]) > 2:
+        raise NonCoplanarDiagonals("lines are skew")
+    if _rank([u, v]) == 1:
+        raise DegenerateMeet("parallel or identical lines have no single meet")
+    t = _solution_space([[a, -b] for a, b in zip(u, v)], w, 2)[0][0]
+    return tuple(a + t * b for a, b in zip(p0, u))
+
+
+# ---------------------------------------------------------------------------
+# strategies: small rationals, with zero, repeated and dependent directions
+
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-4, 4).map(Fraction),
+    st.fractions(min_value=-6, max_value=6, max_denominator=5),
+)
+
+nonzero = st.sampled_from([Fraction(a, b) for a in (-3, -2, -1, 1, 2, 5) for b in (1, 2, 3)])
+
+
+def vectors(n):
+    return st.lists(rationals, min_size=n, max_size=n).map(tuple)
+
+
+@st.composite
+def direction_sets(draw, n):
+    dirs = draw(st.lists(vectors(n), max_size=n + 1))
+    extras = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["zero", "repeat", "combine"]))
+        if kind == "zero" or not dirs:
+            extras.append((Fraction(0),) * n)
+        elif kind == "repeat":
+            extras.append(draw(st.sampled_from(dirs)))
+        else:
+            a, b = draw(st.sampled_from(dirs)), draw(st.sampled_from(dirs))
+            s, t = draw(rationals), draw(rationals)
+            extras.append(tuple(s * x + t * y for x, y in zip(a, b)))
+    order = draw(st.permutations(dirs + extras))
+    return list(order)
+
+
+@st.composite
+def flats(draw, n):
+    return draw(vectors(n)), draw(direction_sets(n))
+
+
+@st.composite
+def flat_pairs(draw):
+    n = draw(st.integers(1, 5))
+    base_a, dirs_a = draw(flats(n))
+    kind = draw(st.sampled_from(["free", "translate", "same", "sub"]))
+    if kind == "free":
+        base_b, dirs_b = draw(flats(n))
+    elif kind == "translate":
+        # parallel to the first flat: empty meet unless the shift lies in it
+        base_b, dirs_b = draw(vectors(n)), list(dirs_a)
+    elif kind == "same":
+        base_b, dirs_b = base_a, list(reversed(dirs_a))
+    else:
+        base_b, dirs_b = base_a, dirs_a[:1]
+    return n, (base_a, dirs_a), (base_b, dirs_b)
+
+
+def _same(flat, ref):
+    assert flat.base == ref.base and flat.basis == ref.basis
+    assert all(type(c) is Fraction for c in flat.base)
+    assert all(type(c) is Fraction for row in flat.basis for c in row)
+    assert (flat.dim, flat.codim, flat.ambient) == (ref.dim, ref.codim, len(ref.base))
+
+
+def _meet_or_error(f, *args):
+    try:
+        return f(*args)
+    except (DegenerateJoin, DegenerateMeet, NonCoplanarDiagonals) as exc:
+        return type(exc), str(exc)
+
+
+# ---------------------------------------------------------------------------
+# properties
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(flats), st.data())
+def test_of_matches_reference(flat, data):
+    base, dirs = flat
+    got = AffineFlat.of(base, dirs)
+    _same(got, RefFlat.of(base, dirs))
+    # the same flat from another base point and rescaled, reordered directions
+    shift = [data.draw(rationals) for _ in dirs]
+    moved = tuple(
+        x + sum((c * d[i] for c, d in zip(shift, dirs)), Fraction(0))
+        for i, x in enumerate(base)
+    )
+    scales = [data.draw(nonzero) for _ in dirs]
+    rescaled = data.draw(st.permutations([
+        tuple(k * c for c in d) for k, d in zip(scales, dirs)
+    ]))
+    again = AffineFlat.of(moved, rescaled)
+    assert again == got and hash(again) == hash(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(vectors(n), min_size=1, max_size=n + 2)))
+def test_from_points_matches_reference(points):
+    _same(AffineFlat.from_points(points), RefFlat.from_points(points))
+
+
+@settings(max_examples=100, deadline=None)
+@given(flat_pairs())
+def test_intersect_matches_reference(pair):
+    n, a, b = pair
+    flat_a, flat_b = AffineFlat.of(*a), AffineFlat.of(*b)
+    ref_a, ref_b = RefFlat.of(*a), RefFlat.of(*b)
+    got, want = flat_a.intersect(flat_b), ref_a.intersect(ref_b)
+    assert (got is None) == (want is None)
+    if want is not None:
+        _same(got, want)
+    # equality and hashing follow the canonical form
+    equal = (ref_a.base, ref_a.basis) == (ref_b.base, ref_b.basis)
+    assert (flat_a == flat_b) is equal
+    if equal:
+        assert hash(flat_a) == hash(flat_b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(flat_pairs(), st.data())
+def test_span_project_contains_match_reference(pair, data):
+    n, a, b = pair
+    flat_a, flat_b = AffineFlat.of(*a), AffineFlat.of(*b)
+    ref_a, ref_b = RefFlat.of(*a), RefFlat.of(*b)
+    _same(flat_a.span_with(flat_b), ref_a.span_with(ref_b))
+    d = data.draw(st.integers(1, n))
+    _same(flat_a.project(d), ref_a.project(d))
+    # a point of the flat, and one drawn freely
+    coeffs = data.draw(st.lists(rationals, min_size=ref_a.dim, max_size=ref_a.dim))
+    inside = tuple(
+        x + sum((c * row[i] for c, row in zip(coeffs, ref_a.basis)), Fraction(0))
+        for i, x in enumerate(ref_a.base)
+    )
+    for point in (inside, data.draw(vectors(n))):
+        assert flat_a.contains(point) == ref_a.contains(point)
+    assert flat_a.contains(inside)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda d: st.tuples(*[vectors(d)] * 4)), st.data())
+def test_line_meet_matches_reference(points, data):
+    p0, p1, q0, q1 = points
+    # often put q0 on the line p0 p1, so coplanar and coincident cases occur
+    if data.draw(st.booleans()):
+        t = data.draw(rationals)
+        q0 = tuple(a + t * (b - a) for a, b in zip(p0, p1))
+    if data.draw(st.booleans()):
+        s = data.draw(rationals)
+        q1 = tuple(a + s * (b - a) for a, b in zip(p0, p1))
+    assert _meet_or_error(line_meet, p0, p1, q0, q1) == _meet_or_error(
+        ref_line_meet, p0, p1, q0, q1
+    )
+
+
+# ---------------------------------------------------------------------------
+# pinned outcomes (as the library gave them before the integer flats)
+
+F = Fraction
+PARALLEL = (DegenerateMeet, "parallel or identical lines have no single meet")
+
+
+@pytest.mark.parametrize("points, expected", [
+    (((0, 0), (2, 1), (1, 0), (0, F(1, 2))), (F(1, 2), F(1, 4))),
+    (((0, 0, 0), (1, 1, 1), (1, 0, 0), (0, 1, 1)), (F(1, 2), F(1, 2), F(1, 2))),
+    (((0, 0, 0), (1, 0, 0), (0, 1, 1), (0, 2, 1)),
+     (NonCoplanarDiagonals, "lines are skew")),
+    (((0, 0), (1, 1), (1, 0), (2, 1)), PARALLEL),
+    (((0, 0, 0), (1, 2, 3), (1, 0, 0), (2, 2, 3)), PARALLEL),
+    (((0, 0), (1, 1), (2, 2), (3, 3)), PARALLEL),
+    (((0, 0, 0), (1, 2, 3), (2, 4, 6), (3, 6, 9)), PARALLEL),
+    (((0, 0), (0, 0), (2, 2), (3, 3)), (DegenerateJoin, "cannot join coincident points")),
+], ids=["meet", "meet_3d", "skew", "parallel", "parallel_3d", "identical",
+        "identical_3d", "coincident_points"])
+def test_line_meet_outcomes(points, expected):
+    points = tuple(tuple(F(c) for c in p) for p in points)
+    assert _meet_or_error(line_meet, *points) == expected
+
+
+def test_mate_names_the_failing_slot():
+    # slot 0 meets at (-2, 0); the slot-1 chords are the parallel lines x=1, x=2
+    X = NPoint(((0, 0), (1, 0), (1, 1)), (1, 5, 9), seq_label=1, period=12)
+    Y = NPoint(((0, 1), (2, 2), (2, 3)), (3, 7, 11), seq_label=3, period=12)
+    for op in (mating, star):
+        assert _meet_or_error(op, X, Y) == (
+            DegenerateMeet, "slot 1: parallel or identical lines have no single meet"
+        )
+    tags = ((1, False), (2, True), (3, False))
+    X3 = NPoint(((0, 0, 0), (1, 0, 0), (1, 1, 0)), tags, seq_label=1, cycle=3)
+    Y3 = NPoint(((0, 1, 1), (0, 2, 1), (5, 5, 5)), tags, seq_label=3, cycle=3)
+    assert _meet_or_error(star, X3, Y3) == (NonCoplanarDiagonals, "slot 0: lines are skew")

@@ -92,7 +92,7 @@ def test_mirror_even_lift():
     assert rep.ok
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9])
 def test_planar_lift_battery(n):
     rep = lift_report(random_axis_aligned(n, seed=n))
     assert rep.variant == "planar" and rep.n == n and rep.ok
@@ -104,7 +104,7 @@ def test_corrugated_lift_battery(m, n, seed):
     assert rep.variant == "corrugated" and rep.ok
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9])
 def test_mirror_lift_battery(n):
     rep = lift_report(random_axis_aligned_mirror(n, seed=n))
     assert rep.variant == ("mirror_even" if n % 2 == 0 else "mirror_odd")
@@ -234,6 +234,22 @@ def test_open_defect_n4_repeated_slice_points(variant, sample):
     rep = lift_report(sample())
     assert rep.variant == variant and rep.used_canonical
     assert tuple((c.check_id, c.ok, c.detail) for c in rep.checks) == OPEN_DEFECT_N4_CHECKS
+
+
+def test_lift_report_computes_normals_once(monkeypatch):
+    # the accepted lift's normals serve general position, L2.2 and the report
+    calls = []
+
+    def counted(J):
+        calls.append(J)
+        return original(J)
+
+    original = lifting.hyperplane_normal
+    monkeypatch.setattr(lifting, "hyperplane_normal", counted)
+    rep = lift_report(random_axis_aligned(5, seed=5))
+    assert rep.ok and rep.used_canonical
+    assert len(calls) == len(rep.normals) == 4
+    assert rep.checks[1] == lifting.LiftCheck("L2.2", True, "normal rank 4 of 4")
 
 
 @pytest.mark.parametrize("sample, chains", [
