@@ -22,8 +22,9 @@ import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from fractions import Fraction
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .corrugated import (
     AxisAlignedM,
@@ -41,7 +42,7 @@ from .frieze import (
     render_staggered,
     row_from_values,
 )
-from .lifting import lift_report
+from .lifting import _infer_variant, lift_report, mating_orbit_check
 from .lower1d import (
     AxisAlignedPair1,
     PairState1D,
@@ -75,16 +76,6 @@ from .serde import (
 )
 from .svg import orbit_svg
 
-THEOREMS = (
-    "T002",
-    "T003",
-    "T005",
-    "T007",
-    "T008",
-    "L2-mating",
-    "L2-lifting",
-    "L4-correspondence",
-)
 GEN_MAPS = ("pent2d", "corrugated", "lower", "mirror")
 LIFT_CHECKS = {
     "general-position": "L2.2",
@@ -128,24 +119,31 @@ def _thread_cap() -> int:
     return max(1, cap)
 
 
+def _draw(sample, *args):
+    """Call a seeded sampler.  A ValueError from it means --n, --m or --range
+    is out of range, which is a usage error, not a failed check."""
+    try:
+        return sample(*args)
+    except ValueError as exc:
+        raise UsageError(f"cannot draw an instance: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # gen
 
 
 def cmd_gen(args) -> int:
-    if args.n is None:
-        raise UsageError("gen needs --n")
     bound = args.range
     if args.map == "pent2d":
-        obj = random_axis_aligned(args.n, args.seed, bound).underlying
+        obj = _draw(random_axis_aligned, args.n, args.seed, bound).underlying
     elif args.map == "corrugated":
         if args.m is None:
             raise UsageError("--map corrugated needs --m")
-        obj = random_axis_aligned_m(args.m, args.n, args.seed, bound).underlying
+        obj = _draw(random_axis_aligned_m, args.m, args.n, args.seed, bound).underlying
     elif args.map == "lower":
-        obj = random_b(args.n, args.seed, bound).initial_state()
+        obj = _draw(random_b, args.n, args.seed, bound).initial_state()
     else:  # mirror
-        obj = random_axis_aligned_mirror(args.n, args.seed, bound).underlying
+        obj = _draw(random_axis_aligned_mirror, args.n, args.seed, bound).underlying
     text = dumps(obj)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -158,19 +156,22 @@ def cmd_gen(args) -> int:
 # iterate
 
 
-def _iterate_rows(state: PairState1D, steps: int, svg_path: str | None) -> int:
-    rows = [state.Y]
+def _orbit(start, step_fn, steps: int) -> list:
+    """``start`` and its first ``steps`` images; a degeneracy names its step."""
+    orbit = [start]
     for i in range(steps):
         try:
-            state = t1_step(state)
+            orbit.append(step_fn(orbit[-1]))
         except DegeneracyError as exc:
             raise type(exc)(f"step {i + 1}: {exc}") from exc
-        rows.append(state.Y)
+    return orbit
+
+
+def _iterate_rows(orbit: list[PairState1D], svg_path: str | None) -> int:
+    rows = [state.Y for state in orbit]
     for row in rows:
         print(" ".join(format_p1(y) for y in row))
     if svg_path:
-        from fractions import Fraction
-
         iterates = []
         for idx, row in enumerate(rows):
             pts = [
@@ -192,29 +193,18 @@ def _iterate_rows(state: PairState1D, steps: int, svg_path: str | None) -> int:
 
 
 def _iterate_points(
-    start, step_fn, steps: int, svg_path: str | None, *, diagonal_step, mirror: bool
+    orbit: list, svg_path: str | None, *, diagonal_step, mirror: bool
 ) -> int:
-    iterates = [start]
-    for i in range(steps):
-        try:
-            iterates.append(step_fn(iterates[-1]))
-        except DegeneracyError as exc:
-            raise type(exc)(f"step {i + 1}: {exc}") from exc
-    for idx, it in enumerate(iterates):
-        points = it.points if mirror else it.vertices
+    iterates = [it.points if mirror else it.vertices for it in orbit]
+    for idx, points in enumerate(iterates):
         print(f"step {idx}:")
         for p in points:
             print(_fmt_point(p))
-    final_points = iterates[-1].points if mirror else iterates[-1].vertices
+    final_points = iterates[-1]
     if len(set(final_points)) == 1:
         print(f"all vertices = {_fmt_point(final_points[0])}")
     if svg_path:
-        from fractions import Fraction
-
-        drawn = []
-        for it in iterates:
-            points = it.points if mirror else it.vertices
-            drawn.append([p.affine_coords()[:2] for p in points])
+        drawn = [[p.affine_coords()[:2] for p in points] for points in iterates]
         collapse = None
         if len(set(final_points)) == 1 and final_points[0].is_finite:
             collapse = final_points[0].affine_coords()[:2]
@@ -236,23 +226,15 @@ def cmd_iterate(args) -> int:
         raise UsageError("--steps must be >= 0")
     inst = load_instance(args.path)
     if isinstance(inst, PairState1D):
-        return _iterate_rows(inst, args.steps, args.svg)
+        return _iterate_rows(_orbit(inst, t1_step, args.steps), args.svg)
     if isinstance(inst, LabeledPolygon2):
-        return _iterate_points(
-            inst, pentagram_step, args.steps, args.svg, diagonal_step=2, mirror=False
-        )
+        orbit = _orbit(inst, pentagram_step, args.steps)
+        return _iterate_points(orbit, args.svg, diagonal_step=2, mirror=False)
     if isinstance(inst, PolygonM):
-        return _iterate_points(
-            inst,
-            corrugated_step,
-            args.steps,
-            args.svg,
-            diagonal_step=inst.m,
-            mirror=False,
-        )
-    return _iterate_points(
-        inst, mp_step, args.steps, args.svg, diagonal_step=None, mirror=True
-    )
+        orbit = _orbit(inst, corrugated_step, args.steps)
+        return _iterate_points(orbit, args.svg, diagonal_step=inst.m, mirror=False)
+    orbit = _orbit(inst, mp_step, args.steps)
+    return _iterate_points(orbit, args.svg, diagonal_step=None, mirror=True)
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +325,8 @@ def _check_T008(pair: AxisAlignedPair1):
     return False, values, "final value differs from the mean of B"
 
 
-def _check_mating(P, variant=None):
-    from .lifting import _infer_variant, mating_orbit_check
-
-    if variant is None:
-        variant = _infer_variant(P)
-    rep = mating_orbit_check(P, variant)
+def _check_mating(P):
+    rep = mating_orbit_check(P, _infer_variant(P))
     values = {"stages": rep.stages, "variant": rep.variant}
     if rep.ok:
         return True, values, ""
@@ -368,8 +346,8 @@ def _check_lifting(P):
     return False, values, f"lift checks failed: {bad}"
 
 
-def _check_correspondence(pair: MirrorPair, k: int):
-    rep = verify_correspondence(pair, k)
+def _check_correspondence(pair: MirrorPair, k: int | None):
+    rep = verify_correspondence(pair, pair.n - 1 if k is None else k)
     values = {"steps_taken": rep.steps_taken}
     if rep.ok:
         return True, values, ""
@@ -377,108 +355,142 @@ def _check_correspondence(pair: MirrorPair, k: int):
     return False, values, f"projected orbits disagree at step {first_bad}"
 
 
-def _make_random_instance(theorem: str, n: int, m: int | None, seed: int, bound: int):
-    if theorem == "T002":
-        return random_axis_aligned(n, seed, bound)
-    if theorem == "T003":
-        return random_axis_aligned_m(m, n, seed, bound)
-    if theorem == "T005":
-        return random_a1(n, seed, bound)
-    if theorem == "T007":
-        return random_axis_aligned_mirror(n, seed, bound)
-    if theorem == "T008":
-        return random_b(n, seed, bound)
-    if theorem in ("L2-mating", "L2-lifting"):
-        if m is not None:
-            return random_axis_aligned_m(m, n, seed, bound)
-        return random_axis_aligned(n, seed, bound)
-    # L4-correspondence
-    return random_mirror_pair(n, seed, bound)
+def _of_kind(inst, kind, message: str):
+    if not isinstance(inst, kind):
+        raise UsageError(message)
+    return inst
 
 
-def _run_check(theorem: str, instance, k: int | None):
-    if theorem == "T002":
-        return _check_T002(instance)
-    if theorem == "T003":
-        return _check_T003(instance)
-    if theorem == "T005":
-        return _check_T005(instance)
-    if theorem == "T007":
-        return _check_T007(instance)
-    if theorem == "T008":
-        return _check_T008(instance)
-    if theorem == "L2-mating":
-        return _check_mating(instance)
-    if theorem == "L2-lifting":
-        return _check_lifting(instance)
-    n = instance.n
-    return _check_correspondence(instance, k if k is not None else n - 1)
+def _adapt_lower(inst):
+    _of_kind(inst, PairState1D, "T008 needs a P1 instance")
+    if any(x.is_finite for x in inst.X):
+        raise UsageError("T008 starts from the all-infinity first row")
+    return AxisAlignedPair1.of(inst.Y)
+
+
+def _adapt_polygon(inst, message: str, canonicalize_mirror: bool = True):
+    """Input of the lifting lemmas and of ``lift``: any polygon, or a mirror pair."""
+    if isinstance(inst, LabeledPolygon2):
+        return AxisAligned2.from_polygon(inst)
+    if isinstance(inst, PolygonM):
+        return AxisAlignedM.from_polygon(inst)
+    if isinstance(inst, MirrorPair):
+        return AxisAlignedMirrorPair.canonicalize(inst) if canonicalize_mirror else inst
+    raise UsageError(message)
+
+
+def _sample_polygon(n, m, seed, bound):
+    """A planar 2n-gon, or with --m a corrugated mn-gon."""
+    if m is None:
+        return random_axis_aligned(n, seed, bound)
+    return random_axis_aligned_m(m, n, seed, bound)
+
+
+def _a1_only(inst):
+    raise UsageError("T005 takes --a1, not an instance file")
+
+
+def _required_m(m: int | None) -> int:
+    if m is None:
+        raise UsageError("T003 --random needs --m")
+    return m
+
+
+def _liftable(n: int) -> int:
+    if n < 3:  # n = 2 gives one A-sequence, and a lift needs two
+        raise UsageError("L2-lifting --random needs --n >= 3")
+    return n
+
+
+class Claim(NamedTuple):
+    """``sample(n, m, seed, bound)`` draws a ``--random`` instance, ``adapt``
+    takes a loaded instance file or raises ``UsageError``, and
+    ``check(instance, k)`` returns ``(ok, values, reason)``.  Entries call
+    library functions through this module's global names when they run, so
+    a name rebound after import (the benchmark's tracer) reaches them."""
+
+    sample: Callable
+    adapt: Callable
+    check: Callable
+
+
+CLAIMS = {
+    "T002": Claim(
+        lambda n, m, seed, bound: random_axis_aligned(n, seed, bound),
+        lambda inst: AxisAligned2.from_polygon(
+            _of_kind(inst, LabeledPolygon2, "T002 needs a P2 instance")),
+        lambda P, k: _check_T002(P),
+    ),
+    "T003": Claim(
+        lambda n, m, seed, bound: random_axis_aligned_m(_required_m(m), n, seed, bound),
+        lambda inst: AxisAlignedM.from_polygon(
+            _of_kind(inst, PolygonM, "T003 needs a Pm instance")),
+        lambda P, k: _check_T003(P),
+    ),
+    "T005": Claim(
+        lambda n, m, seed, bound: random_a1(n, seed, bound),
+        _a1_only,
+        lambda row, k: _check_T005(row),
+    ),
+    "T007": Claim(
+        lambda n, m, seed, bound: random_axis_aligned_mirror(n, seed, bound),
+        lambda inst: AxisAlignedMirrorPair.canonicalize(
+            _of_kind(inst, MirrorPair, "T007 needs a P2-mirror instance")),
+        lambda pair, k: _check_T007(pair),
+    ),
+    "T008": Claim(
+        lambda n, m, seed, bound: random_b(n, seed, bound),
+        _adapt_lower,
+        lambda pair, k: _check_T008(pair),
+    ),
+    "L2-mating": Claim(
+        _sample_polygon,
+        lambda inst: _adapt_polygon(inst, "L2-mating needs a polygon or mirror instance",
+                                    canonicalize_mirror=False),
+        lambda P, k: _check_mating(P),
+    ),
+    "L2-lifting": Claim(
+        lambda n, m, seed, bound: _sample_polygon(_liftable(n), m, seed, bound),
+        lambda inst: _adapt_polygon(inst, "L2-lifting needs a polygon or mirror instance"),
+        lambda P, k: _check_lifting(P),
+    ),
+    "L4-correspondence": Claim(
+        lambda n, m, seed, bound: random_mirror_pair(n, seed, bound),
+        lambda inst: _of_kind(inst, MirrorPair, "L4-correspondence needs a P2-mirror instance"),
+        _check_correspondence,
+    ),
+}
 
 
 def _trial_worker(payload):
     """One seeded random trial; must stay module-level so it pickles."""
     theorem, index, seed, n, m, k, bound = payload
+    claim = CLAIMS[theorem]
     try:
-        instance = _make_random_instance(theorem, n, m, seed, bound)
-        ok, values, reason = _run_check(theorem, instance, k)
+        instance = _draw(claim.sample, n, m, seed, bound)
+        ok, values, reason = claim.check(instance, k)
     except DegeneracyError as exc:
         return index, False, f"degenerate: {exc}", {}
     return index, ok, reason, values
 
 
-def _wrap_file_instance(theorem: str, inst):
-    if theorem == "T002":
-        if not isinstance(inst, LabeledPolygon2):
-            raise UsageError("T002 needs a P2 instance")
-        return AxisAligned2.from_polygon(inst)
-    if theorem == "T003":
-        if not isinstance(inst, PolygonM):
-            raise UsageError("T003 needs a Pm instance")
-        return AxisAlignedM.from_polygon(inst)
-    if theorem == "T005":
-        raise UsageError("T005 takes --a1, not an instance file")
-    if theorem == "T007":
-        if not isinstance(inst, MirrorPair):
-            raise UsageError("T007 needs a P2-mirror instance")
-        return AxisAlignedMirrorPair.canonicalize(inst)
-    if theorem == "T008":
-        if not isinstance(inst, PairState1D):
-            raise UsageError("T008 needs a P1 instance")
-        if any(x.is_finite for x in inst.X):
-            raise UsageError("T008 starts from the all-infinity first row")
-        return AxisAlignedPair1.of(inst.Y)
-    if theorem in ("L2-mating", "L2-lifting"):
-        if isinstance(inst, LabeledPolygon2):
-            return AxisAligned2.from_polygon(inst)
-        if isinstance(inst, PolygonM):
-            return AxisAlignedM.from_polygon(inst)
-        if isinstance(inst, MirrorPair):
-            if theorem == "L2-lifting":
-                return AxisAlignedMirrorPair.canonicalize(inst)
-            return inst
-        raise UsageError(f"{theorem} needs a polygon or mirror instance")
-    # L4-correspondence
-    if not isinstance(inst, MirrorPair):
-        raise UsageError("L4-correspondence needs a P2-mirror instance")
-    return inst
-
-
 def cmd_verify(args) -> int:
     theorem = args.theorem
+    claim = CLAIMS[theorem]
     sources = [s for s in (args.path, "--random" if args.random else None,
                            "--a1" if args.a1 else None) if s]
     if len(sources) != 1:
         raise UsageError(
             "give exactly one input: an instance file, --random, or --a1"
         )
-    if args.a1 and theorem != "T005":
+    if args.a1 and claim.adapt is not _a1_only:
         raise UsageError("--a1 only applies to T005")
+    if args.k is not None and args.k < 1:
+        raise UsageError("--k must be >= 1")
 
     if args.random:
         if args.n is None:
             raise UsageError("--random needs --n")
-        if theorem == "T003" and args.m is None:
-            raise UsageError("T003 --random needs --m")
         trials = args.trials
         if trials < 1:
             raise UsageError("--trials must be >= 1")
@@ -492,43 +504,35 @@ def cmd_verify(args) -> int:
                 results = list(pool.map(_trial_worker, payloads))
         else:
             results = [_trial_worker(p) for p in payloads]
-        failures = [
-            {"index": index, "reason": reason, "seed": payloads[index][2]}
-            for index, ok, reason, _ in results
-            if not ok
-        ]
-        report: dict[str, Any] = {
-            "failures": failures,
-            "passes": trials - len(failures),
-            "theorem": theorem,
-            "trials": trials,
-        }
-        if trials == 1 and results[0][3]:
-            report["values"] = results[0][3]
-        _print_json(report)
-        if not failures:
-            return 0
-        # a drawn instance outside the generic locus is non-generic input,
-        # not a counterexample; only a genuine violation is a failure
-        if all(f["reason"].startswith("degenerate:") for f in failures):
-            return 2
-        return 1
-
-    if args.a1:
-        instance = row_from_values(_parse_value_list(args.a1))
+        seeds = [p[2] for p in payloads]
     else:
-        instance = _wrap_file_instance(theorem, load_instance(args.path))
-    ok, values, reason = _run_check(theorem, instance, args.k)
-    failures = [] if ok else [{"index": 0, "reason": reason, "seed": None}]
-    report = {
+        if args.a1:
+            instance = row_from_values(_parse_value_list(args.a1))
+        else:
+            instance = claim.adapt(load_instance(args.path))
+        ok, values, reason = claim.check(instance, args.k)
+        results, seeds = [(0, ok, reason, values)], [None]
+    failures = [
+        {"index": index, "reason": reason, "seed": seeds[index]}
+        for index, ok, reason, _ in results
+        if not ok
+    ]
+    report: dict[str, Any] = {
         "failures": failures,
-        "passes": 1 if ok else 0,
+        "passes": len(results) - len(failures),
         "theorem": theorem,
-        "trials": 1,
-        "values": values,
+        "trials": len(results),
     }
+    if len(results) == 1 and results[0][3]:
+        report["values"] = results[0][3]
     _print_json(report)
-    return 0 if ok else 1
+    if not failures:
+        return 0
+    # a drawn instance outside the generic locus is non-generic input,
+    # not a counterexample; only a genuine violation is a failure
+    if all(f["reason"].startswith("degenerate:") for f in failures):
+        return 2
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -550,18 +554,9 @@ def cmd_frieze(args) -> int:
 # lift
 
 
-def _wrap_for_lift(inst):
-    if isinstance(inst, LabeledPolygon2):
-        return AxisAligned2.from_polygon(inst)
-    if isinstance(inst, PolygonM):
-        return AxisAlignedM.from_polygon(inst)
-    if isinstance(inst, MirrorPair):
-        return AxisAlignedMirrorPair.canonicalize(inst)
-    raise UsageError("lift needs a P2, Pm, or P2-mirror instance")
-
-
 def cmd_lift(args) -> int:
-    wrapped = _wrap_for_lift(load_instance(args.path))
+    message = "lift needs a P2, Pm, or P2-mirror instance"
+    wrapped = _adapt_polygon(load_instance(args.path), message)
     report = lift_report(wrapped, seed=args.seed, full=args.full)
     payload = {
         "check": LIFT_CHECKS[args.check],
@@ -610,7 +605,7 @@ def build_parser() -> _Parser:
     it.set_defaults(func=cmd_iterate)
 
     ver = sub.add_parser("verify", help="check a claim on one or many instances")
-    ver.add_argument("--theorem", choices=THEOREMS, required=True)
+    ver.add_argument("--theorem", choices=tuple(CLAIMS), required=True)
     ver.add_argument("path", nargs="?", help="instance file")
     ver.add_argument("--random", action="store_true")
     ver.add_argument("--trials", type=int, default=1)

@@ -1,8 +1,11 @@
 """End-to-end CLI: exit codes, exact stdout, determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pentagram_lab.cli import entrypoint
 from pentagram_lab.serde import dumps, load_instance
@@ -32,6 +35,47 @@ MIRROR_INSTANCE = """\
   "P": [["1","-1"],["2","-1"],["6","-1"]]
 }
 """
+
+
+# P^3, m = 3, n = 3: written by `gen --map corrugated --m 3 --n 3 --seed 0 --range 3`
+PM_INSTANCE = """\
+{
+  "format": "pentagram-lab/v1",
+  "space": "Pm",
+  "m": 3,
+  "label_offset": 1,
+  "vertices": [
+    ["-2","-1/2","1/3"], ["-3","-1/2","1/3"], ["-3","-3/2","1/3"],
+    ["-3","-3/2","-1/3"], ["-7/2","-3/2","-1/3"], ["-7/2","-13/6","-1/3"],
+    ["-7/2","-13/6","2/3"], ["-2","-13/6","2/3"], ["-2","-1/2","2/3"]
+  ]
+}
+"""
+
+# a generic mirror pair (random_mirror_pair(4, 0, 5)): its points do not share
+# one height, so it has no axis-aligned canonical form
+GENERIC_MIRROR_INSTANCE = """\
+{
+  "format": "pentagram-lab/v1",
+  "space": "P2-mirror",
+  "P": [["-4","-4/5"],["2","-3"],["4","-1/2"],["2","5/3"]]
+}
+"""
+
+CLAIM_IDS = ("T002", "T003", "T005", "T007", "T008",
+             "L2-mating", "L2-lifting", "L4-correspondence")
+
+
+@pytest.fixture
+def files(tmp_path):
+    paths = {}
+    for name, text in (("hex", HEX_INSTANCE), ("b126", B126_INSTANCE),
+                       ("mirror", MIRROR_INSTANCE), ("pm", PM_INSTANCE),
+                       ("generic_mirror", GENERIC_MIRROR_INSTANCE)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        paths[name] = str(path)
+    return paths
 
 
 @pytest.fixture
@@ -222,6 +266,70 @@ def test_verify_lifting_file(hex_file, capsys):
     }
 
 
+# Full stdout of each claim and input mode, recorded before the claim table
+# replaced the per-claim branches in cli.py.
+ALL_LIFT_CHECKS = {f"L2.{i}": True for i in range(1, 9)}
+PINNED_FILE_VALUES = [
+    ("T003", "pm", {"centroid": "(-17/6, -25/18, 2/9)",
+                    "collapse_point": "(-17/6, -25/18, 2/9)",
+                    "corrugated_certified": True, "steps_taken": 2}),
+    ("L2-mating", "hex", {"stages": 2, "variant": "planar"}),
+    ("L2-mating", "pm", {"stages": 2, "variant": "corrugated"}),
+    ("L2-mating", "mirror", {"stages": 2, "variant": "mirror_odd"}),
+    # L2-mating takes a mirror pair as it is, without canonicalizing it
+    ("L2-mating", "generic_mirror", {"stages": 3, "variant": "mirror_even"}),
+    ("L2-lifting", "pm", {"checks": ALL_LIFT_CHECKS, "used_canonical": True,
+                          "variant": "corrugated"}),
+    ("L2-lifting", "mirror", {"checks": ALL_LIFT_CHECKS, "used_canonical": True,
+                              "variant": "mirror_odd"}),
+]
+
+
+def report_text(theorem, trials, passes, failures=(), values=None):
+    report = {"failures": list(failures), "passes": passes,
+              "theorem": theorem, "trials": trials}
+    if values is not None:
+        report["values"] = values
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("theorem, name, values", PINNED_FILE_VALUES,
+                         ids=[f"{t}-{f}" for t, f, _ in PINNED_FILE_VALUES])
+def test_verify_file_stdout_pinned(files, capsys, theorem, name, values):
+    code, out, err = run(capsys, "verify", "--theorem", theorem, files[name])
+    assert (code, err) == (0, "")
+    assert out == report_text(theorem, 1, 1, values=values)
+
+
+def test_verify_lifting_canonicalizes_mirror_file(files, capsys):
+    code, out, err = run(capsys, "verify", "--theorem", "L2-lifting",
+                         files["generic_mirror"])
+    assert (code, out) == (2, "")
+    assert err == "degenerate input: points do not share a common height\n"
+
+
+WRONG_KIND = [
+    (("verify", "--theorem", "T002"), "pm", "T002 needs a P2 instance"),
+    (("verify", "--theorem", "T003"), "hex", "T003 needs a Pm instance"),
+    (("verify", "--theorem", "T005"), "hex", "T005 takes --a1, not an instance file"),
+    (("verify", "--theorem", "T007"), "hex", "T007 needs a P2-mirror instance"),
+    (("verify", "--theorem", "T008"), "hex", "T008 needs a P1 instance"),
+    (("verify", "--theorem", "L2-mating"), "b126",
+     "L2-mating needs a polygon or mirror instance"),
+    (("verify", "--theorem", "L2-lifting"), "b126",
+     "L2-lifting needs a polygon or mirror instance"),
+    (("verify", "--theorem", "L4-correspondence"), "hex",
+     "L4-correspondence needs a P2-mirror instance"),
+    (("lift", "--check", "centroid"), "b126", "lift needs a P2, Pm, or P2-mirror instance"),
+]
+
+
+@pytest.mark.parametrize("argv, name, message", WRONG_KIND,
+                         ids=[argv[-1] for argv, _, _ in WRONG_KIND])
+def test_wrong_instance_kind_message(files, capsys, argv, name, message):
+    assert run(capsys, *argv, files[name]) == (3, "", f"usage error: {message}\n")
+
+
 # -- verify --random -----------------------------------------------------
 
 
@@ -271,6 +379,74 @@ def test_bad_thread_cap(capsys, monkeypatch):
                        "--n", "3", "--trials", "2")
     assert code == 3
     assert "PENTAGRAM_LAB_THREADS" in err
+
+
+PINNED_RANDOM = [
+    (("T002", "--n", "3", "--seed", "264"), 2, 1, [{
+        "index": 1, "seed": 265,
+        "reason": "degenerate: step 2: output label 3: meet of identical lines [10 : -4 : -5]",
+    }]),
+    (("T003", "--n", "2", "--m", "3", "--seed", "5"), 0, 2, []),
+    (("T005", "--n", "4", "--seed", "7"), 0, 2, []),
+    (("T007", "--n", "5", "--seed", "11"), 0, 2, []),
+    (("T008", "--n", "4", "--seed", "13"), 0, 2, []),
+    (("L2-mating", "--n", "3", "--seed", "17"), 0, 2, []),
+    (("L2-lifting", "--n", "3", "--seed", "19"), 0, 2, []),
+    (("L4-correspondence", "--n", "4", "--seed", "23"), 0, 2, []),
+]
+
+
+@pytest.mark.parametrize("argv, code, passes, failures", PINNED_RANDOM,
+                         ids=[argv[0] for argv, *_ in PINNED_RANDOM])
+def test_verify_random_stdout_pinned(capsys, argv, code, passes, failures):
+    result = run(capsys, "verify", "--theorem", *argv, "--random", "--trials", "2")
+    assert result == (code, report_text(argv[0], 2, passes, failures), "")
+
+
+# (PENTAGRAM_LAB_THREADS, argv): sizes a sampler or a check cannot take
+OUT_OF_RANGE = [
+    ("1", ("verify", "--theorem", "T002", "--random", "--n", "0")),
+    ("1", ("verify", "--theorem", "T002", "--random", "--n", "-3")),
+    ("1", ("verify", "--theorem", "T007", "--random", "--n", "1")),
+    ("1", ("verify", "--theorem", "T008", "--random", "--n", "1")),
+    ("1", ("verify", "--theorem", "T005", "--random", "--n", "2")),
+    ("1", ("verify", "--theorem", "L2-lifting", "--random", "--n", "2")),
+    ("1", ("verify", "--theorem", "T003", "--random", "--n", "3", "--m", "1")),
+    ("1", ("verify", "--theorem", "L4-correspondence", "--random", "--n", "4", "--k", "0")),
+    ("1", ("verify", "--theorem", "T002", "--random", "--n", "4", "--range", "0")),
+    ("1", ("verify", "--theorem", "T002", "--random", "--n", "4", "--range", "-1")),
+    ("1", ("verify", "--theorem", "T008", "--random", "--n", "4", "--range", "0")),
+    ("2", ("verify", "--theorem", "T002", "--random", "--n", "0", "--trials", "2")),
+    ("2", ("verify", "--theorem", "L2-lifting", "--random", "--n", "2", "--trials", "2")),
+    ("1", ("gen", "--map", "pent2d", "--n", "0")),
+    ("1", ("gen", "--map", "corrugated", "--n", "3", "--m", "1")),
+    ("1", ("gen", "--map", "lower", "--n", "0")),
+]
+
+
+@pytest.mark.parametrize("threads, argv", OUT_OF_RANGE,
+                         ids=[" ".join((f"threads={t}",) + a) for t, a in OUT_OF_RANGE])
+def test_out_of_range_size_is_usage_error(capsys, monkeypatch, threads, argv):
+    monkeypatch.setenv("PENTAGRAM_LAB_THREADS", threads)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+@settings(max_examples=100, deadline=None, report_multiple_bugs=False)
+@given(theorem=st.sampled_from(CLAIM_IDS), n=st.integers(-2, 5),
+       m=st.none() | st.integers(-1, 3), k=st.none() | st.integers(-1, 4),
+       bound=st.none() | st.integers(-1, 6), seed=st.integers(-3, 400))
+def test_verify_random_exit_code_is_exhaustive(theorem, n, m, k, bound, seed):
+    argv = ["verify", "--theorem", theorem, "--random", "--trials", "1",
+            "--n", str(n), "--seed", str(seed)]
+    for flag, value in (("--m", m), ("--k", k), ("--range", bound)):
+        if value is not None:
+            argv += [flag, str(value)]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = entrypoint(argv)
+    assert code in (0, 1, 2, 3)
 
 
 # -- frieze --------------------------------------------------------------

@@ -9,7 +9,9 @@ from pentagram_lab.pentagram2d import (
     AxisAligned2,
     LabeledPolygon2,
     center_of_mass_affine,
+    center_of_mass_projective,
     collapse_orbit,
+    concurrency_points,
     is_axis_aligned,
     pentagram_step,
     random_axis_aligned,
@@ -116,6 +118,25 @@ def test_projective_equivariance(hexagon):
         rhs = pentagram_step(hexagon)
         assert lhs.vertices == tuple(phi.apply(v) for v in rhs.vertices)
         assert lhs.label_offset == rhs.label_offset
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_projective_center_of_mass_is_collapse_point(n):
+    # Glick's collapse in projective form: for phi(P) with P axis aligned,
+    # the edge families meet at the images of the axis directions, the
+    # projective center of mass is phi of the affine one, and the orbit
+    # collapses onto it after n - 1 steps
+    axis_x, axis_y = ProjPoint((1, 0, 0)), ProjPoint((0, 1, 0))
+    for s in range(15):
+        P = random_axis_aligned(n, s, 10).underlying
+        phi = random_projective_map(2, SplitMix64(s))
+        mapped = LabeledPolygon2.of([phi.apply(v) for v in P.vertices], P.label_offset)
+        assert concurrency_points(mapped) == (phi.apply(axis_x), phi.apply(axis_y))
+        center = phi.apply(center_of_mass_affine(P))
+        assert center_of_mass_projective(mapped) == center
+        for _ in range(n - 1):
+            mapped = pentagram_step(mapped)
+        assert set(mapped.vertices) == {center}
 
 
 # seed bases on which every draw has a fully defined orbit (a few draws per
