@@ -66,7 +66,7 @@ from .pentagram2d import (
     pentagram_step,
     random_axis_aligned,
 )
-from .projcore import ProjPoint, format_rational
+from .projcore import ProjPoint, format_rational, orbit
 from .rng import trial_seed
 from .serde import (
     dumps,
@@ -156,19 +156,8 @@ def cmd_gen(args) -> int:
 # iterate
 
 
-def _orbit(start, step_fn, steps: int) -> list:
-    """``start`` and its first ``steps`` images; a degeneracy names its step."""
-    orbit = [start]
-    for i in range(steps):
-        try:
-            orbit.append(step_fn(orbit[-1]))
-        except DegeneracyError as exc:
-            raise type(exc)(f"step {i + 1}: {exc}") from exc
-    return orbit
-
-
-def _iterate_rows(orbit: list[PairState1D], svg_path: str | None) -> int:
-    rows = [state.Y for state in orbit]
+def _iterate_rows(states: list[PairState1D], svg_path: str | None) -> int:
+    rows = [state.Y for state in states]
     for row in rows:
         print(" ".join(format_p1(y) for y in row))
     if svg_path:
@@ -193,9 +182,9 @@ def _iterate_rows(orbit: list[PairState1D], svg_path: str | None) -> int:
 
 
 def _iterate_points(
-    orbit: list, svg_path: str | None, *, diagonal_step, mirror: bool
+    states: list, svg_path: str | None, *, diagonal_step, mirror: bool
 ) -> int:
-    iterates = [it.points if mirror else it.vertices for it in orbit]
+    iterates = [it.points if mirror else it.vertices for it in states]
     for idx, points in enumerate(iterates):
         print(f"step {idx}:")
         for p in points:
@@ -226,15 +215,15 @@ def cmd_iterate(args) -> int:
         raise UsageError("--steps must be >= 0")
     inst = load_instance(args.path)
     if isinstance(inst, PairState1D):
-        return _iterate_rows(_orbit(inst, t1_step, args.steps), args.svg)
+        return _iterate_rows(orbit(inst, t1_step, args.steps), args.svg)
     if isinstance(inst, LabeledPolygon2):
-        orbit = _orbit(inst, pentagram_step, args.steps)
-        return _iterate_points(orbit, args.svg, diagonal_step=2, mirror=False)
+        states = orbit(inst, pentagram_step, args.steps)
+        return _iterate_points(states, args.svg, diagonal_step=2, mirror=False)
     if isinstance(inst, PolygonM):
-        orbit = _orbit(inst, corrugated_step, args.steps)
-        return _iterate_points(orbit, args.svg, diagonal_step=inst.m, mirror=False)
-    orbit = _orbit(inst, mp_step, args.steps)
-    return _iterate_points(orbit, args.svg, diagonal_step=None, mirror=True)
+        states = orbit(inst, corrugated_step, args.steps)
+        return _iterate_points(states, args.svg, diagonal_step=inst.m, mirror=False)
+    states = orbit(inst, mp_step, args.steps)
+    return _iterate_points(states, args.svg, diagonal_step=None, mirror=True)
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +385,17 @@ def _required_m(m: int | None) -> int:
     return m
 
 
-def _liftable(n: int) -> int:
+def _liftable(n: int, message: str) -> int:
     if n < 3:  # n = 2 gives one A-sequence, and a lift needs two
-        raise UsageError("L2-lifting --random needs --n >= 3")
+        raise UsageError(message)
     return n
+
+
+def _lift_input(inst, message: str):
+    """A loaded instance file as input of ``lift_report``."""
+    P = _adapt_polygon(inst, message)
+    _liftable(P.n, f"lifting needs n >= 3, and this instance has n = {P.n}")
+    return P
 
 
 class Claim(NamedTuple):
@@ -450,8 +446,9 @@ CLAIMS = {
         lambda P, k: _check_mating(P),
     ),
     "L2-lifting": Claim(
-        lambda n, m, seed, bound: _sample_polygon(_liftable(n), m, seed, bound),
-        lambda inst: _adapt_polygon(inst, "L2-lifting needs a polygon or mirror instance"),
+        lambda n, m, seed, bound: _sample_polygon(
+            _liftable(n, "L2-lifting --random needs --n >= 3"), m, seed, bound),
+        lambda inst: _lift_input(inst, "L2-lifting needs a polygon or mirror instance"),
         lambda P, k: _check_lifting(P),
     ),
     "L4-correspondence": Claim(
@@ -556,7 +553,7 @@ def cmd_frieze(args) -> int:
 
 def cmd_lift(args) -> int:
     message = "lift needs a P2, Pm, or P2-mirror instance"
-    wrapped = _adapt_polygon(load_instance(args.path), message)
+    wrapped = _lift_input(load_instance(args.path), message)
     report = lift_report(wrapped, seed=args.seed, full=args.full)
     payload = {
         "check": LIFT_CHECKS[args.check],

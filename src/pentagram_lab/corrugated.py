@@ -25,7 +25,7 @@ from .errors import (
     NotAxisAligned,
 )
 from .linalg import rank
-from .projcore import ProjPoint, meet_coplanar_lines
+from .projcore import ProjPoint, meet_coplanar_lines, orbit
 from .rng import SplitMix64
 
 
@@ -202,16 +202,10 @@ def collapse_orbit_m(P: AxisAlignedM) -> CollapseReportM:
     """
     n = P.n
     centroid = center_of_mass_m(P.underlying)
-    current = P.underlying
-    certificates = []
-    for step in range(n - 1):
-        certificates.append(is_corrugated(current))
-        try:
-            current = corrugated_step(current)
-        except DegeneracyError as exc:
-            raise type(exc)(f"step {step + 1}: {exc}") from exc
-    all_equal = len(set(current.vertices)) == 1
-    collapse_point = current.vertices[0] if all_equal else None
+    polys = orbit(P.underlying, corrugated_step, n - 1)
+    final = polys[-1].vertices
+    all_equal = len(set(final)) == 1
+    collapse_point = final[0] if all_equal else None
     matched = all_equal and collapse_point == centroid
     return CollapseReportM(
         steps_taken=n - 1,
@@ -219,7 +213,7 @@ def collapse_orbit_m(P: AxisAlignedM) -> CollapseReportM:
         centroid=centroid,
         all_equal=all_equal,
         matched=matched,
-        corrugated_certificates=tuple(certificates),
+        corrugated_certificates=tuple(is_corrugated(poly) for poly in polys[:-1]),
     )
 
 

@@ -442,7 +442,7 @@ def parallel_lift(seqs: Sequence[NPoint], heights) -> Polyjoint:
     and the prism property of consecutive pairs."""
     seqs = tuple(seqs)
     if len(seqs) < 2:
-        raise ValueError("need at least two sequences")
+        raise DimensionMismatch("a lift needs at least two sequences")
     n = seqs[0].count
     d = seqs[0].d
     if any(s.count != n or s.d != d for s in seqs):
@@ -564,7 +564,7 @@ def _child_tag(X: NPoint, slot: int) -> object:
     return idx % X.cycle + 1, primed
 
 
-def _mate(X: NPoint, Y: NPoint, slots: int, cyclic: bool) -> NPoint:
+def _mate(X: NPoint, Y: NPoint, slots: int) -> NPoint:
     if X.level != Y.level or X.d != Y.d or X.count != Y.count:
         raise DimensionMismatch("can only mate sequences of the same stage")
     if Y.seq_label != X.seq_label + 2:
@@ -606,13 +606,13 @@ def _mate(X: NPoint, Y: NPoint, slots: int, cyclic: bool) -> NPoint:
 def mating(X: NPoint, Y: NPoint) -> NPoint:
     """Full mating: slot t meets chord X_t X_{t+1} with chord Y_t Y_{t+1},
     cyclically; the child's tag averages the four parent tags."""
-    return _mate(X, Y, X.count, cyclic=True)
+    return _mate(X, Y, X.count)
 
 
 def star(X: NPoint, Y: NPoint) -> NPoint:
     """Mating without the wraparound slot (used by the odd mirror chains,
     whose last meet is genuinely undefined)."""
-    return _mate(X, Y, X.count - 1, cyclic=False)
+    return _mate(X, Y, X.count - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -624,34 +624,25 @@ class _OrbitContext:
 
     def __init__(self, P, variant: str):
         self.variant = variant
+        self.n = P.n
         if variant == "planar":
-            self.m = 2
-            self.n = P.n
-            self.d = 2
-            polys = [P.underlying]
-            for _ in range(self.n - 2):
-                polys.append(pentagram_step(polys[-1]))
-            self._maps = [poly.label_map() for poly in polys]
-            self.period = polys[0].label_period
+            start, step, self.m = P.underlying, pentagram_step, 2
         elif variant == "corrugated":
-            self.m = P.m
-            self.n = P.n
-            self.d = P.m
-            polys = [P.underlying]
-            for _ in range(self.n - 2):
-                polys.append(corrugated_step(polys[-1]))
-            self._maps = [poly.label_map() for poly in polys]
-            self.period = polys[0].label_period
+            start, step, self.m = P.underlying, corrugated_step, P.m
         else:
-            pair = P.underlying if isinstance(P, AxisAlignedMirrorPair) else P
-            self.m = None
-            self.n = pair.n
-            self.d = 2
-            pairs = [pair]
-            for _ in range(self.n - 2):
-                pairs.append(mp_step(pairs[-1]))
-            self._pairs = pairs
+            start = P.underlying if isinstance(P, AxisAlignedMirrorPair) else P
+            step, self.m = mp_step, None
+        # not projcore.orbit: the L2 claims print a degenerate step's message
+        # as the step raised it, without a step number
+        states = [start]
+        for _ in range(self.n - 2):
+            states.append(step(states[-1]))
+        if self.m is None:
+            self._pairs = states
             self.period = None
+        else:
+            self._maps = [poly.label_map() for poly in states]
+            self.period = states[0].label_period
 
     def tag_point(self, stage: int, tag) -> Vec:
         if self.period is not None:
@@ -906,21 +897,14 @@ def skeleton_recurrence_check(T: Prism, k: int) -> bool:
     return _Skeleton(T).recurrence_holds(k)
 
 
-def flat_H(g: int, k: int, hyperplanes: Mapping[int, AffineFlat],
-           period: int | None = None) -> AffineFlat:
+def flat_H(g: int, k: int, hyperplanes: Mapping[int, AffineFlat]) -> AffineFlat:
     """H_{g,k}: intersection of the g hyperplanes at labels k-g+1, ..., k+g-1.
 
-    Labels reduce cyclically when a period is given (odd mirror windows wrap).
     Raises NonTransverse unless the intersection has codimension exactly g.
     """
     if g < 1:
         raise ValueError("need g >= 1")
-    labels = []
-    for i in range(g):
-        label = k - g + 1 + 2 * i
-        if period is not None:
-            label = (label - 1) % period + 1
-        labels.append(label)
+    labels = [k - g + 1 + 2 * i for i in range(g)]
     missing = [label for label in labels if label not in hyperplanes]
     if missing:
         raise KeyError(f"no hyperplane at labels {missing}")

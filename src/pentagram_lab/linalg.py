@@ -24,13 +24,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Vec = tuple[Fraction, ...]
-
-
-def vec(values: Iterable) -> Vec:
-    return tuple(Fraction(v) for v in values)
 
 
 def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:

@@ -19,6 +19,7 @@ from .projcore import (
     P1_INFINITY,
     ProjPoint,
     mobius_to_infinity,
+    orbit,
     solve_harmonic6,
 )
 from .rng import SplitMix64
@@ -134,12 +135,7 @@ def verify_T008(pair: AxisAlignedPair1) -> T008Report:
     """Run n-1 steps of T_1 from (inf^n, B); the second component must become
     the constant mean of B.  The first component rides along unasserted."""
     n = pair.n
-    state = pair.initial_state()
-    for step in range(n - 1):
-        try:
-            state = t1_step(state)
-        except ZeroDenominator as exc:
-            raise ZeroDenominator(f"step {step + 1}: {exc}") from exc
+    state = orbit(pair.initial_state(), t1_step, n - 1)[-1]
     expected = center_of_mass_p1((P1_INFINITY,) * n, pair.B)
     constant = len(set(state.Y)) == 1
     matched = constant and state.Y[0] == expected

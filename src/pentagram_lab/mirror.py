@@ -33,6 +33,7 @@ from .projcore import (
     join_points,
     meet_consecutive_chords,
     meet_lines,
+    orbit,
     project_vertical,
     reflect_r,
 )
@@ -178,12 +179,7 @@ def verify_T007(pair: AxisAlignedMirrorPair) -> T007Report:
     orbit passes through except the collapsed one, which has no inverse.
     """
     n = pair.n
-    states = [pair.underlying]
-    for step in range(n - 1):
-        try:
-            states.append(mp_step(states[-1]))
-        except DegeneracyError as exc:
-            raise type(exc)(f"step {step + 1}: {exc}") from exc
+    states = orbit(pair.underlying, mp_step, n - 1)
     final = states[-1]
     all_equal = len(set(final.points)) == 1
     C = Fraction(sum(pair.x_values()), n)

@@ -20,12 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    DegenerateJoin,
-    DegenerateMeet,
-    InfiniteVertex,
-    NotAxisAligned,
-)
+from .errors import DegenerateJoin, InfiniteVertex, NotAxisAligned
 from .projcore import (
     ProjLine2,
     ProjPoint,
@@ -33,6 +28,7 @@ from .projcore import (
     join_points,
     meet_consecutive_chords,
     meet_lines,
+    orbit,
 )
 from .rng import SplitMix64
 
@@ -286,17 +282,11 @@ def collapse_orbit(P: AxisAligned2) -> CollapseReport2:
     """Run n-1 pentagram steps and certify the collapse to the center of mass."""
     n = P.n
     centroid = center_of_mass_affine(P.underlying)
-    current = P.underlying
-    stage = TwoLineStage(None, False, False)
-    for step in range(n - 1):
-        if step == n - 2:
-            stage = _certify_two_lines(current, centroid)
-        try:
-            current = pentagram_step(current)
-        except (DegenerateJoin, DegenerateMeet) as exc:
-            raise type(exc)(f"step {step + 1}: {exc}") from exc
-    all_equal = len(set(current.vertices)) == 1
-    collapse_point = current.vertices[0] if all_equal else None
+    polys = orbit(P.underlying, pentagram_step, n - 1)
+    stage = _certify_two_lines(polys[n - 2], centroid)
+    final = polys[-1].vertices
+    all_equal = len(set(final)) == 1
+    collapse_point = final[0] if all_equal else None
     matched = all_equal and collapse_point == centroid
     return CollapseReport2(
         steps_taken=n - 1,

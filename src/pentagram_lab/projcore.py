@@ -34,8 +34,6 @@ from .errors import (
     ZeroDenominator,
 )
 
-Rational = Fraction
-
 
 class Infinity:
     """Cross-ratio value at infinity (the affine value of the point (1 : 0))."""
@@ -142,15 +140,6 @@ class ProjPoint:
 P1_INFINITY = ProjPoint((1, 0))
 
 
-def pt2(x, y) -> ProjPoint:
-    """Affine point of the projective plane."""
-    return ProjPoint.affine(x, y)
-
-
-def p1(value) -> ProjPoint:
-    return ProjPoint.p1(value)
-
-
 class ProjLine2:
     """A line of the projective plane in canonical coefficients (a : b : c)."""
 
@@ -228,6 +217,21 @@ def meet_consecutive_chords(chord: Callable[[int], ProjLine2], k: int,
         except DegeneracyError as exc:
             raise type(exc)(f"{where(t)}: {exc}") from exc
     return out
+
+
+def orbit(start, step: Callable, steps: int) -> list:
+    """[start, step(start), ...]: ``start`` and its first ``steps`` images.
+
+    A degeneracy in step i (counted from 1) raises its own error type, with
+    the message prefixed by ``step i: ``.
+    """
+    states = [start]
+    for i in range(1, steps + 1):
+        try:
+            states.append(step(states[-1]))
+        except DegeneracyError as exc:
+            raise type(exc)(f"step {i}: {exc}") from exc
+    return states
 
 
 def meet_coplanar_lines(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint) -> ProjPoint:
@@ -366,16 +370,6 @@ class ProjMap:
             raise DimensionMismatch("map and point dimensions differ")
         coords = [sum(m * c for m, c in zip(row, p.coords)) for row in self.matrix]
         return ProjPoint(coords)
-
-    def compose(self, other: "ProjMap") -> "ProjMap":
-        if self.dim != other.dim:
-            raise DimensionMismatch("cannot compose maps of different dimensions")
-        n = len(self.matrix)
-        rows = [
-            [sum(self.matrix[i][k] * other.matrix[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        return ProjMap(rows)
 
     def inverse(self) -> "ProjMap":
         return ProjMap(_adjugate(self.matrix))

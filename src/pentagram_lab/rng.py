@@ -3,8 +3,11 @@
 All randomized instance generators in this package draw from SplitMix64, a
 fixed, well-known 64-bit generator, so that a (seed, parameter) pair denotes
 the same instance in any implementation.  Bounded draws use plain reduction
-``next_u64() % bound``; batch runners derive the seed of trial ``i`` as
-``seed + i``.  Both conventions are part of the documented interface.
+``next_u64() % bound`` of one 64-bit word, so a bound may be at most 2^64;
+a larger one could never reach its upper part and raises ``ValueError``.
+``rational(bound)`` draws its numerator with ``below(2 * bound + 1)``, so
+its cap is ``bound < 2^63``.  Batch runners derive the seed of trial ``i``
+as ``seed + i``.  Both conventions are part of the documented interface.
 """
 
 from __future__ import annotations
@@ -37,15 +40,20 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
-        """Integer in [0, bound)."""
+        """Integer in [0, bound), for 0 < bound <= 2^64."""
         if bound <= 0:
             raise ValueError("bound must be positive")
+        if bound > _MASK64 + 1:
+            raise ValueError("bound must be at most 2**64")
         return self.next_u64() % bound
 
     def rational(self, bound: int) -> Fraction:
-        """A fraction with numerator in [-bound, bound] and denominator in [1, bound]."""
+        """A fraction with numerator in [-bound, bound] and denominator in
+        [1, bound], for 1 <= bound < 2^63."""
         if bound < 1:
             raise ValueError("bound must be >= 1")
+        if bound >= 1 << 63:
+            raise ValueError("bound must be below 2**63")
         num = self.below(2 * bound + 1) - bound
         den = self.below(bound) + 1
         return Fraction(num, den)

@@ -330,6 +330,17 @@ def test_wrong_instance_kind_message(files, capsys, argv, name, message):
     assert run(capsys, *argv, files[name]) == (3, "", f"usage error: {message}\n")
 
 
+@pytest.mark.parametrize("argv", [("lift", "--check", "centroid"),
+                                  ("verify", "--theorem", "L2-lifting")],
+                         ids=["lift", "verify"])
+def test_lifting_an_n2_file_is_usage_error(tmp_path, capsys, argv):
+    # n = 2 gives one A-sequence, and a lift needs two
+    path = str(tmp_path / "quad.json")
+    assert run(capsys, "gen", "--map", "pent2d", "--n", "2", "--out", path)[0] == 0
+    assert run(capsys, *argv, path) == (
+        3, "", "usage error: lifting needs n >= 3, and this instance has n = 2\n")
+
+
 # -- verify --random -----------------------------------------------------
 
 
@@ -421,6 +432,12 @@ OUT_OF_RANGE = [
     ("1", ("gen", "--map", "pent2d", "--n", "0")),
     ("1", ("gen", "--map", "corrugated", "--n", "3", "--m", "1")),
     ("1", ("gen", "--map", "lower", "--n", "0")),
+    # one 64-bit word cannot draw a numerator in [-2**64, 2**64]
+    ("1", ("verify", "--theorem", "T002", "--random", "--n", "4", "--range", str(2**64))),
+    ("2", ("verify", "--theorem", "T002", "--random", "--n", "4", "--range", str(2**64),
+           "--trials", "2")),
+    ("1", ("gen", "--map", "pent2d", "--n", "4", "--range", str(2**64))),
+    ("2", ("gen", "--map", "pent2d", "--n", "4", "--range", str(2**64))),
 ]
 
 

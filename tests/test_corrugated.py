@@ -12,7 +12,7 @@ from pentagram_lab.corrugated import (
     is_corrugated,
     random_axis_aligned_m,
 )
-from pentagram_lab.errors import NotAxisAligned
+from pentagram_lab.errors import DegenerateMeet, NotAxisAligned
 from pentagram_lab.pentagram2d import LabeledPolygon2, pentagram_step
 from pentagram_lab.projcore import ProjPoint
 
@@ -49,6 +49,12 @@ def test_n_below_m_branch():
     # 2 = n < m = 4: a single step collapses the octagon-like walk
     rep = collapse_orbit_m(random_axis_aligned_m(4, 2, seed=5))
     assert rep.matched and rep.steps_taken == 1
+
+
+def test_degenerate_draw_names_step_and_label():
+    with pytest.raises(DegenerateMeet) as info:
+        collapse_orbit_m(random_axis_aligned_m(3, 3, 8))
+    assert str(info.value) == "step 2: output label 13: the two lines coincide"
 
 
 def test_m2_reduces_to_planar_map():

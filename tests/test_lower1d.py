@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from pentagram_lab.errors import DegenerateJoin, NotAxisAligned, InfiniteVertex
+from pentagram_lab.errors import (
+    DegenerateJoin,
+    InfiniteVertex,
+    NotAxisAligned,
+    ZeroDenominator,
+)
 from pentagram_lab.lower1d import (
     AxisAlignedPair1,
     PairState1D,
@@ -69,6 +74,14 @@ def test_random_collapse_to_mean(n):
         assert rep.ok
         mean = Fraction(sum(b.p1_value() for b in pair.B), n)
         assert rep.final_component[0] == ProjPoint.p1(mean)
+
+
+def test_degenerate_draw_names_step_and_entry():
+    with pytest.raises(ZeroDenominator) as info:
+        verify_T008(random_b(4, 109))
+    assert str(info.value) == (
+        "step 3: entry 1: six-point harmonic solve is indeterminate"
+    )
 
 
 def test_center_of_mass_p1_plain_mean():

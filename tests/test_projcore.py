@@ -24,6 +24,7 @@ from pentagram_lab.projcore import (
     meet_coplanar_lines,
     meet_lines,
     mobius_to_infinity,
+    orbit,
     parse_rational,
     project_vertical,
     random_projective_map,
@@ -268,3 +269,22 @@ def test_mobius_to_infinity_sends_target():
     phi = mobius_to_infinity(q(4))
     assert phi.apply(q(4)) == P1_INFINITY
     assert phi.inverse().apply(P1_INFINITY) == q(4)
+
+
+# --- orbits -------------------------------------------------------------------
+
+
+def test_orbit_keeps_start_and_every_image():
+    assert orbit(1, lambda x: 3 * x, 3) == [1, 3, 9, 27]
+    assert orbit("start", None, 0) == ["start"]
+
+
+def test_orbit_degeneracy_names_its_step():
+    def step(x):
+        if x > 5:
+            raise DegenerateMeet(f"value {x}")
+        return 3 * x
+
+    with pytest.raises(DegenerateMeet) as info:
+        orbit(1, step, 4)
+    assert str(info.value) == "step 3: value 9"
