@@ -385,16 +385,22 @@ def _required_m(m: int | None) -> int:
     return m
 
 
-def _liftable(n: int, message: str) -> int:
-    if n < 3:  # n = 2 gives one A-sequence, and a lift needs two
-        raise UsageError(message)
+def _liftable(n: int, m: int, message: str) -> int:
+    """n, if a lift can take n points of R^m; else a usage error whose
+    ``message`` is formatted with the least n that can be lifted."""
+    # n = 2 gives one A-sequence, and a lift needs two; the lift raises
+    # points of R^m into R^n, so it needs n >= m as well
+    for least in (3, m):
+        if n < least:
+            raise UsageError(message.format(least=least, n=n))
     return n
 
 
 def _lift_input(inst, message: str):
     """A loaded instance file as input of ``lift_report``."""
     P = _adapt_polygon(inst, message)
-    _liftable(P.n, f"lifting needs n >= 3, and this instance has n = {P.n}")
+    _liftable(P.n, P.m if isinstance(P, AxisAlignedM) else 2,
+              "lifting needs n >= {least}, and this instance has n = {n}")
     return P
 
 
@@ -447,7 +453,8 @@ CLAIMS = {
     ),
     "L2-lifting": Claim(
         lambda n, m, seed, bound: _sample_polygon(
-            _liftable(n, "L2-lifting --random needs --n >= 3"), m, seed, bound),
+            _liftable(n, 2 if m is None else m, "L2-lifting --random needs --n >= {least}"),
+            m, seed, bound),
         lambda inst: _lift_input(inst, "L2-lifting needs a polygon or mirror instance"),
         lambda P, k: _check_lifting(P),
     ),

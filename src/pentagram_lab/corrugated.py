@@ -25,7 +25,7 @@ from .errors import (
     NotAxisAligned,
 )
 from .linalg import rank
-from .projcore import ProjPoint, meet_coplanar_lines, orbit
+from .projcore import ProjPoint, affine_mean, meet_coplanar_lines, orbit
 from .rng import SplitMix64
 
 
@@ -110,9 +110,7 @@ def corrugated_step(V: PolygonM) -> PolygonM:
 
 def center_of_mass_m(V: PolygonM) -> ProjPoint:
     """Coordinatewise mean of the (all-affine) vertices."""
-    coords = [v.affine_coords() for v in V.vertices]
-    k = len(coords)
-    return ProjPoint.affine(*(Fraction(sum(c[i] for c in coords), k) for i in range(V.m)))
+    return affine_mean(V.vertices)
 
 
 @dataclass(frozen=True)

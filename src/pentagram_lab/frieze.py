@@ -23,12 +23,11 @@ from fractions import Fraction
 
 from .errors import IndeterminateCrossRatio, ZeroDenominator
 from .projcore import (
-    INF,
     P1_INFINITY,
     ProjPoint,
     cross_ratio4,
     cross_ratio6,
-    format_rational,
+    format_p1,
     solve_harmonic4,
     solve_harmonic6,
 )
@@ -330,7 +329,7 @@ def render_staggered(pattern: FriezePattern) -> str:
     """Plain-text frieze: entries placed by column, rows staggered by parity."""
     n = pattern.n
     cells = [
-        [_entry_text(p) for p in row] for row in pattern.rows
+        [format_p1(p) for p in row] for row in pattern.rows
     ]
     width = max(len(text) for row in cells for text in row) + 2
     lines = []
@@ -342,11 +341,6 @@ def render_staggered(pattern: FriezePattern) -> str:
             line[start : start + len(text)] = text
         lines.append("".join(line).rstrip())
     return "\n".join(lines)
-
-
-def _entry_text(p: ProjPoint) -> str:
-    value = p.p1_value()
-    return "inf" if value is INF else format_rational(value)
 
 
 def random_a1(n: int, seed: int, bound: int = 10) -> Row:

@@ -475,31 +475,15 @@ def parallel_lift(seqs: Sequence[NPoint], heights) -> Polyjoint:
 
 
 def general_position_check(joints: Sequence[Joint]) -> bool:
-    """Every subset of at most n normals is linearly independent.
-
-    For exactly n-1 hyperplanes the completion row (0, 1, 0, ..., 0) gives a
-    fast determinant witness; the rank computation is the fallback and the
-    definition.
-    """
+    """The hyperplane normals of the joints are linearly independent."""
     joints = tuple(joints)
     if not joints:
         return True
     n = joints[0].n
     if any(J.n != n for J in joints):
         raise NotAJoint("joints live in different spaces")
-    if len(joints) > n:
-        return False
-    return _independent_normals([hyperplane_normal(J) for J in joints], n)
-
-
-def _independent_normals(normals: Sequence[Vec], n: int) -> bool:
-    """The normals (at most n of them, in R^n) are linearly independent."""
-    rows = [list(v) for v in normals]
-    if len(rows) == n - 1:
-        v0 = [Fraction(1 if i == 1 else 0) for i in range(n)]
-        if linalg.det(rows + [v0]) != 0:
-            return True
-    return linalg.rank(rows) == len(rows)
+    normals = [hyperplane_normal(J) for J in joints]
+    return linalg.rank(normals) == len(normals)
 
 
 @dataclass(frozen=True)
@@ -1001,26 +985,12 @@ class _LiftTables:
         n = self.n
         return [(g, k) for g in range(1, n) for k in range(g, 2 * (n - 1) - g + 1, 2)]
 
-    def fully_sliced(self) -> tuple[bool, tuple[str, ...]]:
-        failures = []
-        for g, k in self.H_indices():
-            try:
-                self.H(g, k)
-            except NonTransverse as exc:
-                failures.append(f"H({g},{k}): {exc}")
-                continue
-            for h in (k - 1, k, k + 1):
-                if h not in self.skeletons:
-                    continue
-                report = self.slices(g, k, h)
-                if not report.ok:
-                    failures.append(
-                        f"H({g},{k}) vs prism {h}: " + "; ".join(report.reasons)
-                    )
-        return not failures, tuple(failures)
+    def sliced(self, independent: bool) -> tuple[bool, tuple[str, ...]]:
+        """Slice every H_{g,k} by the prisms h near k, in label order.
 
-    def prism_independence(self) -> tuple[bool, tuple[str, ...]]:
-        n = self.n
+        L2.5 (``independent`` false) takes the prisms with |h-k| <= 1.  L2.6
+        takes those with |h-k| <= g, and their slice sets must agree.
+        """
         failures = []
         for g, k in self.H_indices():
             try:
@@ -1028,9 +998,10 @@ class _LiftTables:
             except NonTransverse as exc:
                 failures.append(f"H({g},{k}): {exc}")
                 continue
+            reach = g if independent else 1
             seen: frozenset | None = None
-            for h in range(max(2, k - g), min(2 * n - 4, k + g) + 1, 2):
-                if h not in self.skeletons:
+            for h in self.skeletons:
+                if abs(h - k) > reach:
                     continue
                 report = self.slices(g, k, h)
                 if not report.ok:
@@ -1038,23 +1009,24 @@ class _LiftTables:
                         f"H({g},{k}) vs prism {h}: " + "; ".join(report.reasons)
                     )
                     continue
-                pts = frozenset(report.points)
-                if seen is None:
-                    seen = pts
-                elif pts != seen:
-                    failures.append(f"H({g},{k}): prism {h} slice set differs")
+                if independent:
+                    pts = frozenset(report.points)
+                    if seen is None:
+                        seen = pts
+                    elif pts != seen:
+                        failures.append(f"H({g},{k}): prism {h} slice set differs")
         return not failures, tuple(failures)
 
 
 def fully_sliced_check(pj: Polyjoint) -> tuple[bool, tuple[str, ...]]:
     """slices_check for every H_{g,k} against every prism with |h-k| <= 1."""
-    return _LiftTables(pj).fully_sliced()
+    return _LiftTables(pj).sliced(independent=False)
 
 
 def prism_independence_check(pj: Polyjoint) -> tuple[bool, tuple[str, ...]]:
     """H_{g,k} ^ Sigma_g T_h yields one point set for every prism h with
     |h-k| <= g."""
-    return _LiftTables(pj).prism_independence()
+    return _LiftTables(pj).sliced(independent=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1068,9 +1040,7 @@ def expected_projected_centroid(P, variant: str) -> ProjPoint:
         return center_of_mass_m(P.underlying)
     if not isinstance(P, AxisAlignedMirrorPair):
         raise VariantMismatch("mirror centroid prediction needs a canonical pair")
-    n = P.n
-    C = Fraction(sum(P.x_values()), n)
-    return ProjPoint.affine(C, Fraction(0) if n % 2 == 0 else Fraction(-1, n))
+    return P.collapse_point()
 
 
 @dataclass(frozen=True)
@@ -1154,13 +1124,16 @@ class LiftReport:
         return all(c.ok for c in self.checks)
 
 
+_HEIGHT_RETRIES = 8
+
+
 def lift_report(P, variant: str | None = None, seed: int = 0,
-                attempts: int = 8, full: bool = False) -> LiftReport:
+                full: bool = False) -> LiftReport:
     """Run the whole lifting battery on one instance.
 
     The canonical L0 heights are tried first; if the lift degenerates or
     fails general position, seeded random heights are retried up to
-    ``attempts`` times, and the heights actually used are reported.
+    ``_HEIGHT_RETRIES`` times, and the heights actually used are reported.
     """
     if variant is None:
         variant = _infer_variant(P)
@@ -1175,7 +1148,7 @@ def lift_report(P, variant: str | None = None, seed: int = 0,
     pj = None
     used_canonical = True
     construction_error = ""
-    for attempt in range(attempts + 1):
+    for attempt in range(_HEIGHT_RETRIES + 1):
         heights = (
             canonical_heights(n, d) if attempt == 0 else random_heights(n, d, rng)
         )
@@ -1186,7 +1159,8 @@ def lift_report(P, variant: str | None = None, seed: int = 0,
             continue
         # general_position_check on the joints, keeping the normals for L2.2
         normals = tuple(hyperplane_normal(J) for J in candidate.joints)
-        general = _independent_normals(normals, n)
+        normal_rank = linalg.rank(normals)
+        general = normal_rank == len(normals)
         if general:
             pj = candidate
             used_canonical = attempt == 0
@@ -1194,10 +1168,9 @@ def lift_report(P, variant: str | None = None, seed: int = 0,
         construction_error = "hyperplanes not in general position"
     if pj is None:
         raise NotAJoint(
-            f"no usable lift within {attempts + 1} attempts: {construction_error}"
+            f"no usable lift within {_HEIGHT_RETRIES + 1} attempts: {construction_error}"
         )
 
-    normal_rank = linalg.rank([list(v) for v in normals])
     checks = [
         LiftCheck("L2.1", True, "joints and prisms constructed"),
         LiftCheck("L2.2", general, f"normal rank {normal_rank} of {len(normals)}"),
@@ -1222,7 +1195,7 @@ def lift_report(P, variant: str | None = None, seed: int = 0,
         LiftCheck("L2.4", recurrence_ok, "skeleton intersection recurrence")
     )
 
-    sliced_ok, sliced_failures = tables.fully_sliced()
+    sliced_ok, sliced_failures = tables.sliced(independent=False)
     checks.append(
         LiftCheck(
             "L2.5", sliced_ok,
@@ -1230,7 +1203,7 @@ def lift_report(P, variant: str | None = None, seed: int = 0,
         )
     )
 
-    indep_ok, indep_failures = tables.prism_independence()
+    indep_ok, indep_failures = tables.sliced(independent=True)
     checks.append(
         LiftCheck(
             "L2.6", indep_ok,

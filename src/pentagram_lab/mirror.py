@@ -140,6 +140,13 @@ class AxisAlignedMirrorPair:
     def x_values(self) -> tuple[Fraction, ...]:
         return tuple(p.affine_coords()[0] for p in self.underlying.points)
 
+    def collapse_point(self) -> ProjPoint:
+        """Where n-1 MP steps collapse the pair: (C, 0) for even n and
+        (C, -1/n) for odd n, where C is the mean x-coordinate."""
+        n = self.n
+        C = Fraction(sum(self.x_values()), n)
+        return ProjPoint.affine(C, Fraction(0) if n % 2 == 0 else Fraction(-1, n))
+
 
 def lift_from_p1(B) -> AxisAlignedMirrorPair:
     """Place finite projective-line points at height -1."""
@@ -174,20 +181,15 @@ class T007Report:
 def verify_T007(pair: AxisAlignedMirrorPair) -> T007Report:
     """Collapse of a canonical pair in n-1 MP steps, with inverse round trips.
 
-    The expected limit is (C, 0) for even n and (C, -1/n) for odd n, where C
-    is the mean x-coordinate.  mp_inverse is checked against every state the
-    orbit passes through except the collapsed one, which has no inverse.
+    The expected limit is ``pair.collapse_point()``.  mp_inverse is checked
+    against every state the orbit passes through except the collapsed one,
+    which has no inverse.
     """
     n = pair.n
     states = orbit(pair.underlying, mp_step, n - 1)
     final = states[-1]
     all_equal = len(set(final.points)) == 1
-    C = Fraction(sum(pair.x_values()), n)
-    expected = (
-        ProjPoint.affine(C, Fraction(0))
-        if n % 2 == 0
-        else ProjPoint.affine(C, Fraction(-1, n))
-    )
+    expected = pair.collapse_point()
     matched = all_equal and final.points[0] == expected
     roundtrips = tuple(
         mp_inverse(states[j]).points == states[j - 1].points for j in range(1, n - 1)

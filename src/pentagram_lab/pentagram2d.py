@@ -24,6 +24,7 @@ from .errors import DegenerateJoin, InfiniteVertex, NotAxisAligned
 from .projcore import (
     ProjLine2,
     ProjPoint,
+    affine_mean,
     axes_normalization_map,
     join_points,
     meet_consecutive_chords,
@@ -90,18 +91,10 @@ def _edge_pairs(poly: LabeledPolygon2):
     return [(verts[t], verts[(t + 1) % k]) for t in range(k)]
 
 
-def _all_horizontal(edges) -> bool:
-    for p, q in edges:
-        if p.affine_coords()[1] != q.affine_coords()[1]:
-            return False
-    return True
-
-
-def _all_vertical(edges) -> bool:
-    for p, q in edges:
-        if p.affine_coords()[0] != q.affine_coords()[0]:
-            return False
-    return True
+def _same_coordinate(edges, i: int) -> bool:
+    """Both ends of every edge share coordinate i: horizontal edges for i = 1,
+    vertical ones for i = 0."""
+    return all(p.affine_coords()[i] == q.affine_coords()[i] for p, q in edges)
 
 
 def _family_concurrency_point(lines) -> ProjPoint | None:
@@ -116,29 +109,21 @@ def _family_concurrency_point(lines) -> ProjPoint | None:
     return point
 
 
-def is_axis_aligned(poly: LabeledPolygon2, mode: str = "affine") -> bool:
-    """Affine mode: alternating horizontal/vertical edges.
+def is_axis_aligned(poly: LabeledPolygon2) -> bool:
+    """Finite vertices and edges alternately horizontal and vertical.
 
-    Projective mode: each alternating edge family is concurrent.  Degenerate
-    polygons (repeated consecutive vertices, identical family lines) give False.
+    Polygons with repeated consecutive vertices give False.  The projective
+    analogue, two concurrent edge families, is ``concurrency_points``.
     """
-    if mode not in ("affine", "projective"):
-        raise ValueError(f"unknown mode {mode!r}")
     edges = _edge_pairs(poly)
     if any(p == q for p, q in edges):
         return False
-    if mode == "affine":
-        if any(not v.is_finite for v in poly.vertices):
-            return False
-        even, odd = edges[0::2], edges[1::2]
-        return (_all_horizontal(even) and _all_vertical(odd)) or (
-            _all_vertical(even) and _all_horizontal(odd)
-        )
-    lines = [join_points(p, q) for p, q in edges]
-    for family in (lines[0::2], lines[1::2]):
-        if _family_concurrency_point(family) is None:
-            return False
-    return True
+    if any(not v.is_finite for v in poly.vertices):
+        return False
+    even, odd = edges[0::2], edges[1::2]
+    return (_same_coordinate(even, 1) and _same_coordinate(odd, 0)) or (
+        _same_coordinate(even, 0) and _same_coordinate(odd, 1)
+    )
 
 
 def concurrency_points(poly: LabeledPolygon2) -> tuple[ProjPoint, ProjPoint]:
@@ -158,10 +143,7 @@ def concurrency_points(poly: LabeledPolygon2) -> tuple[ProjPoint, ProjPoint]:
 
 def center_of_mass_affine(poly: LabeledPolygon2) -> ProjPoint:
     """Vertex centroid of an all-affine polygon."""
-    coords = [v.affine_coords() for v in poly.vertices]
-    k = len(coords)
-    sums = [sum(c[i] for c in coords) for i in range(2)]
-    return ProjPoint.affine(Fraction(sums[0], k), Fraction(sums[1], k))
+    return affine_mean(poly.vertices)
 
 
 def center_of_mass_projective(poly: LabeledPolygon2) -> ProjPoint:
@@ -212,7 +194,7 @@ class AxisAligned2:
 
     @classmethod
     def from_polygon(cls, poly: LabeledPolygon2) -> "AxisAligned2":
-        if not is_axis_aligned(poly, "affine"):
+        if not is_axis_aligned(poly):
             raise NotAxisAligned("polygon is not affinely axis aligned")
         first = poly.vertices[0].affine_coords()
         second = poly.vertices[1].affine_coords()

@@ -63,6 +63,13 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def format_p1(point: ProjPoint) -> str:
+    """A point of the projective line as its rational value, or "inf"."""
+    if not point.is_finite:
+        return "inf"
+    return format_rational(point.p1_value())
+
+
 def _canonical_ints(values: Iterable[int | Fraction]) -> tuple[int, ...]:
     values = tuple(values)
     if all(type(v) is int for v in values):
@@ -138,6 +145,15 @@ class ProjPoint:
 
 
 P1_INFINITY = ProjPoint((1, 0))
+
+
+def affine_mean(points: Sequence[ProjPoint]) -> ProjPoint:
+    """Coordinatewise mean of finite points: their center of mass."""
+    coords = [p.affine_coords() for p in points]
+    k = len(coords)
+    return ProjPoint.affine(
+        *(Fraction(sum(c[i] for c in coords), k) for i in range(len(coords[0])))
+    )
 
 
 class ProjLine2:

@@ -25,7 +25,7 @@ from .errors import UsageError
 from .lower1d import PairState1D
 from .mirror import MirrorPair
 from .pentagram2d import LabeledPolygon2
-from .projcore import P1_INFINITY, ProjPoint, format_rational
+from .projcore import P1_INFINITY, ProjPoint, format_p1, format_rational
 from .projcore import parse_rational as _parse_fraction
 
 FORMAT_TAG = "pentagram-lab/v1"
@@ -38,12 +38,6 @@ def parse_rational(text: str) -> Fraction:
         return _parse_fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"not a rational number: {text!r}") from exc
-
-
-def format_p1(point: ProjPoint) -> str:
-    if not point.is_finite:
-        return "inf"
-    return format_rational(point.p1_value())
 
 
 def parse_p1(text: str) -> ProjPoint:
@@ -94,7 +88,24 @@ def _parse_vertex(coords: Any, dim: int, where: str) -> ProjPoint:
     return ProjPoint.affine(*(parse_rational(str(c)) for c in coords))
 
 
+def _label_offset(data: dict) -> int:
+    offset = data.get("label_offset", 1)
+    if type(offset) is not int:  # not bool, an int subclass
+        raise UsageError("label_offset must be an integer")
+    return offset
+
+
 def instance_from_dict(data: Any) -> Instance:
+    """The instance a parsed file describes.  A file whose content the
+    constructors reject (too few points, rows of unequal length, m < 2) is
+    a usage error; a degenerate one still raises its ``DegeneracyError``."""
+    try:
+        return _instance_from_dict(data)
+    except ValueError as exc:
+        raise UsageError(f"invalid instance: {exc}") from exc
+
+
+def _instance_from_dict(data: Any) -> Instance:
     if not isinstance(data, dict):
         raise UsageError("instance file must hold a JSON object")
     if data.get("format") != FORMAT_TAG:
@@ -107,10 +118,10 @@ def instance_from_dict(data: Any) -> Instance:
         points = tuple(
             _parse_vertex(v, 2, f"vertex {i + 1}") for i, v in enumerate(verts)
         )
-        return LabeledPolygon2.of(points, int(data.get("label_offset", 1)))
+        return LabeledPolygon2.of(points, _label_offset(data))
     if space == "Pm":
         m = data.get("m")
-        if not isinstance(m, int):
+        if type(m) is not int:
             raise UsageError("Pm instance needs an integer m")
         verts = data.get("vertices")
         if not isinstance(verts, list):
@@ -118,7 +129,7 @@ def instance_from_dict(data: Any) -> Instance:
         points = tuple(
             _parse_vertex(v, m, f"vertex {i + 1}") for i, v in enumerate(verts)
         )
-        return PolygonM.of(m, points, int(data.get("label_offset", 1)))
+        return PolygonM.of(m, points, _label_offset(data))
     if space == "P1":
         xs, ys = data.get("X"), data.get("Y")
         if not isinstance(xs, list) or not isinstance(ys, list):

@@ -155,6 +155,53 @@ def test_iterate_mirror(mirror_file, capsys):
     assert out.rstrip().endswith("all vertices = (3, -1/3)")
 
 
+def test_iterate_corrugated(files, capsys):
+    step0 = ["(-2, -1/2, 1/3)", "(-3, -1/2, 1/3)", "(-3, -3/2, 1/3)", "(-3, -3/2, -1/3)",
+             "(-7/2, -3/2, -1/3)", "(-7/2, -13/6, -1/3)", "(-7/2, -13/6, 2/3)",
+             "(-2, -13/6, 2/3)", "(-2, -1/2, 2/3)"]
+    step1 = ["(-4, -5/2, -1)", "(-9/2, -7/2, -5/3)", "(-16/5, -53/30, 1/15)",
+             "(-25/8, -5/3, -1/12)", "(-43/14, -71/42, -1/21)", "(-19/8, -11/12, 5/12)",
+             "(-13/5, -7/6, 7/15)", "(-21/8, -9/8, 11/24)", "(-1, 1/2, 1)"]
+    collapse = "(-17/6, -25/18, 2/9)"
+    lines = ["step 0:", *step0, "step 1:", *step1, "step 2:", *[collapse] * 9,
+             f"all vertices = {collapse}"]
+    assert run(capsys, "iterate", files["pm"], "--steps", "2") == (
+        0, "\n".join(lines) + "\n", "")
+
+
+B126_SVG = """\
+<?xml version="1.0" encoding="UTF-8"?>
+<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="640" height="640" \
+viewBox="0 0 640 640">
+<polyline points="66.25,211.25 175,211.25 610,211.25" fill="none" stroke="#1f77b4" \
+stroke-width="1.5" />
+<circle cx="66.25" cy="211.25" r="2.5" fill="#1f77b4" />
+<circle cx="175" cy="211.25" r="2.5" fill="#1f77b4" />
+<circle cx="610" cy="211.25" r="2.5" fill="#1f77b4" />
+<polyline points="156.875,320 30,320 368.333333333,320" fill="none" stroke="#d62728" \
+stroke-width="1.5" />
+<circle cx="156.875" cy="320" r="2.5" fill="#d62728" />
+<circle cx="30" cy="320" r="2.5" fill="#d62728" />
+<circle cx="368.333333333" cy="320" r="2.5" fill="#d62728" />
+<polyline points="283.75,428.75 283.75,428.75 283.75,428.75" fill="none" stroke="#2ca02c" \
+stroke-width="1.5" />
+<circle cx="283.75" cy="428.75" r="2.5" fill="#2ca02c" />
+<circle cx="283.75" cy="428.75" r="2.5" fill="#2ca02c" />
+<circle cx="283.75" cy="428.75" r="2.5" fill="#2ca02c" />
+<circle cx="283.75" cy="428.75" r="4" fill="none" stroke="#000000" stroke-width="1.5" />
+<line x1="275.75" y1="428.75" x2="291.75" y2="428.75" stroke="#000000" stroke-width="1" />
+<line x1="283.75" y1="420.75" x2="283.75" y2="436.75" stroke="#000000" stroke-width="1" />
+</svg>
+"""
+
+
+def test_iterate_rows_svg(b126_file, tmp_path, capsys):
+    svg = tmp_path / "rows.svg"
+    assert run(capsys, "iterate", b126_file, "--steps", "2", "--svg", str(svg)) == (
+        0, "1 2 6\n11/6 2/3 34/9\n3 3 3\n", "")
+    assert svg.read_text() == B126_SVG
+
+
 def test_iterate_past_collapse_is_degenerate(hex_file, capsys):
     code, _, err = run(capsys, "iterate", hex_file, "--steps", "3")
     assert code == 2
@@ -330,15 +377,57 @@ def test_wrong_instance_kind_message(files, capsys, argv, name, message):
     assert run(capsys, *argv, files[name]) == (3, "", f"usage error: {message}\n")
 
 
-@pytest.mark.parametrize("argv", [("lift", "--check", "centroid"),
-                                  ("verify", "--theorem", "L2-lifting")],
-                         ids=["lift", "verify"])
-def test_lifting_an_n2_file_is_usage_error(tmp_path, capsys, argv):
+LIFT = ("lift", "--check", "centroid")
+VERIFY_LIFT = ("verify", "--theorem", "L2-lifting")
+SMALL_INSTANCES = [
     # n = 2 gives one A-sequence, and a lift needs two
-    path = str(tmp_path / "quad.json")
-    assert run(capsys, "gen", "--map", "pent2d", "--n", "2", "--out", path)[0] == 0
-    assert run(capsys, *argv, path) == (
-        3, "", "usage error: lifting needs n >= 3, and this instance has n = 2\n")
+    (LIFT, ("--map", "pent2d", "--n", "2"), "n >= 3, and this instance has n = 2"),
+    (VERIFY_LIFT, ("--map", "pent2d", "--n", "2"), "n >= 3, and this instance has n = 2"),
+    # sequences of three points of R^4 cannot be lifted into R^3
+    (LIFT, ("--map", "corrugated", "--m", "4", "--n", "3"),
+     "n >= 4, and this instance has n = 3"),
+    (VERIFY_LIFT, ("--map", "corrugated", "--m", "4", "--n", "3"),
+     "n >= 4, and this instance has n = 3"),
+]
+
+
+@pytest.mark.parametrize("argv, gen, message", SMALL_INSTANCES,
+                         ids=["lift", "verify", "lift-n3-m4", "verify-n3-m4"])
+def test_lifting_an_n2_file_is_usage_error(tmp_path, capsys, argv, gen, message):
+    path = str(tmp_path / "small.json")
+    assert run(capsys, "gen", *gen, "--out", path)[0] == 0
+    assert run(capsys, *argv, path) == (3, "", f"usage error: lifting needs {message}\n")
+
+
+MALFORMED_FILES = [
+    ('"space": "P2", "vertices": [["0","0"],["1","0"],["1","1"]]',
+     3, "usage error: invalid instance: a labeled polygon needs an even vertex count >= 4"),
+    ('"space": "P2", "label_offset": "x", "vertices": [["0","0"],["1","0"],["1","1"],["0","1"]]',
+     3, "usage error: label_offset must be an integer"),
+    ('"space": "P2", "label_offset": 1.5, "vertices": [["0","0"],["1","0"],["1","1"],["0","1"]]',
+     3, "usage error: label_offset must be an integer"),
+    ('"space": "Pm", "m": 1, "vertices": [["0"],["1"],["2"]]',
+     3, "usage error: invalid instance: ambient dimension m must be >= 2"),
+    ('"space": "Pm", "m": true, "vertices": [["0"],["1"],["2"]]',
+     3, "usage error: Pm instance needs an integer m"),
+    ('"space": "P2-mirror", "P": [["0","1"],["1","2"]]',
+     3, "usage error: invalid instance: need at least 3 points"),
+    ('"space": "P1", "X": ["inf","inf","inf"], "Y": ["1","2"]',
+     3, "usage error: invalid instance: need two tuples of equal length n >= 3"),
+    # a point on the mirror axis is degenerate input, not a malformed file
+    ('"space": "P2-mirror", "P": [["0","0"],["1","2"],["2","1"]]',
+     2, "degenerate input: point 1 lies on the mirror axis"),
+]
+
+
+@pytest.mark.parametrize("body, code, message", MALFORMED_FILES,
+                         ids=["p2-3-vertices", "offset-string", "offset-fraction", "pm-m1",
+                              "pm-m-bool", "mirror-2-points", "p1-unequal-rows",
+                              "mirror-point-on-axis"])
+def test_malformed_instance_file(tmp_path, capsys, body, code, message):
+    path = tmp_path / "bad.json"
+    path.write_text('{"format": "pentagram-lab/v1", ' + body + "}")
+    assert run(capsys, "iterate", str(path), "--steps", "1") == (code, "", message + "\n")
 
 
 # -- verify --random -----------------------------------------------------
@@ -429,6 +518,11 @@ OUT_OF_RANGE = [
     ("1", ("verify", "--theorem", "T008", "--random", "--n", "4", "--range", "0")),
     ("2", ("verify", "--theorem", "T002", "--random", "--n", "0", "--trials", "2")),
     ("2", ("verify", "--theorem", "L2-lifting", "--random", "--n", "2", "--trials", "2")),
+    # the lift raises points of R^m into R^n, so n < m cannot be lifted
+    ("1", ("verify", "--theorem", "L2-lifting", "--random", "--n", "3", "--m", "4",
+           "--trials", "2")),
+    ("2", ("verify", "--theorem", "L2-lifting", "--random", "--n", "3", "--m", "4",
+           "--trials", "2")),
     ("1", ("gen", "--map", "pent2d", "--n", "0")),
     ("1", ("gen", "--map", "corrugated", "--n", "3", "--m", "1")),
     ("1", ("gen", "--map", "lower", "--n", "0")),

@@ -79,11 +79,11 @@ def test_centroid_is_vertex_mean(hexagon):
 
 
 def test_is_axis_aligned(hexagon):
-    assert is_axis_aligned(hexagon, "affine")
+    assert is_axis_aligned(hexagon)
     skew = LabeledPolygon2.of(
         [pt2(0, 0), pt2(4, 1), pt2(4, 2), pt2(1, 2), pt2(1, 5), pt2(0, 5)], 1
     )
-    assert not is_axis_aligned(skew, "affine")
+    assert not is_axis_aligned(skew)
 
 
 def test_from_levels_matches_vertex_pattern():
