@@ -23,6 +23,7 @@ import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from math import ceil
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -146,21 +147,44 @@ def cmd_gen(args) -> int:
         obj = _draw(random_axis_aligned_mirror, args.n, args.seed, bound).underlying
     text = dumps(obj)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_file(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
+
+
+def _write_file(path: str, text: str) -> None:
+    """Write an output file; a path that cannot be written is a usage error."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # iterate
 
 
+def _emit(lines: list[str], svg_path: str | None, render: Callable[[], str]) -> int:
+    """Write the SVG, then print the lines, so that an unwritable SVG path
+    fails before anything is printed.  A point the drawing cannot place is
+    reported after the printed iterates."""
+    text = "".join(line + "\n" for line in lines)
+    if svg_path:
+        try:
+            svg = render()
+        except DegeneracyError:
+            sys.stdout.write(text)
+            raise
+        _write_file(svg_path, svg)
+    sys.stdout.write(text)
+    return 0
+
+
 def _iterate_rows(states: list[PairState1D], svg_path: str | None) -> int:
     rows = [state.Y for state in states]
-    for row in rows:
-        print(" ".join(format_p1(y) for y in row))
-    if svg_path:
+
+    def render() -> str:
         iterates = []
         for idx, row in enumerate(rows):
             pts = [
@@ -174,40 +198,37 @@ def _iterate_rows(states: list[PairState1D], svg_path: str | None) -> int:
         final = rows[-1]
         if len(set(final)) == 1 and final[0].is_finite:
             collapse = (final[0].p1_value(), Fraction(-(len(rows) - 1)))
-        Path(svg_path).write_text(
-            orbit_svg(iterates, close=False, diagonal_step=None, collapse=collapse),
-            encoding="utf-8",
-        )
-    return 0
+        return orbit_svg(iterates, close=False, diagonal_step=None, collapse=collapse)
+
+    return _emit([" ".join(format_p1(y) for y in row) for row in rows], svg_path, render)
 
 
 def _iterate_points(
     states: list, svg_path: str | None, *, diagonal_step, mirror: bool
 ) -> int:
     iterates = [it.points if mirror else it.vertices for it in states]
+    lines = []
     for idx, points in enumerate(iterates):
-        print(f"step {idx}:")
-        for p in points:
-            print(_fmt_point(p))
+        lines.append(f"step {idx}:")
+        lines += [_fmt_point(p) for p in points]
     final_points = iterates[-1]
     if len(set(final_points)) == 1:
-        print(f"all vertices = {_fmt_point(final_points[0])}")
-    if svg_path:
+        lines.append(f"all vertices = {_fmt_point(final_points[0])}")
+
+    def render() -> str:
         drawn = [[p.affine_coords()[:2] for p in points] for points in iterates]
         collapse = None
         if len(set(final_points)) == 1 and final_points[0].is_finite:
             collapse = final_points[0].affine_coords()[:2]
-        Path(svg_path).write_text(
-            orbit_svg(
-                drawn,
-                close=not mirror,
-                diagonal_step=diagonal_step,
-                collapse=collapse,
-                axis_y=Fraction(0) if mirror else None,
-            ),
-            encoding="utf-8",
+        return orbit_svg(
+            drawn,
+            close=not mirror,
+            diagonal_step=diagonal_step,
+            collapse=collapse,
+            axis_y=Fraction(0) if mirror else None,
         )
-    return 0
+
+    return _emit(lines, svg_path, render)
 
 
 def cmd_iterate(args) -> int:
@@ -504,8 +525,11 @@ def cmd_verify(args) -> int:
         ]
         cap = _thread_cap()
         if cap > 1 and trials > 1:
-            with ProcessPoolExecutor(max_workers=min(cap, trials)) as pool:
-                results = list(pool.map(_trial_worker, payloads))
+            workers = min(cap, trials)
+            # one chunk of consecutive trials per worker, not a round trip each
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_trial_worker, payloads,
+                                        chunksize=ceil(trials / workers)))
         else:
             results = [_trial_worker(p) for p in payloads]
         seeds = [p[2] for p in payloads]

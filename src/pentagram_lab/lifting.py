@@ -101,6 +101,21 @@ class NPoint:
         return len(self.points[0])
 
 
+def _integer_points(points) -> tuple[list[Sequence[int]], int]:
+    """The points times one common denominator D, as integer rows, and D."""
+    d = len(points[0])
+    if any(len(p) != d for p in points):
+        raise ValueError("points of different dimensions")
+    ints, scale = linalg.integer_row([c for p in points for c in p])
+    return [ints[i:i + d] for i in range(0, len(ints), d)], scale
+
+
+def _differences(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Rows 1.. minus row 0."""
+    first = rows[0]
+    return [[x - y for x, y in zip(row, first)] for row in rows[1:]]
+
+
 @dataclass(frozen=True)
 class Joint:
     """n affinely independent points in R^n, spanning a hyperplane."""
@@ -113,8 +128,7 @@ class Joint:
         n = len(points)
         if n < 2 or any(len(p) != n for p in points):
             raise NotAJoint("a joint needs n points in R^n")
-        diffs = [linalg.vec_sub(p, points[0]) for p in points[1:]]
-        if linalg.rank(diffs) != n - 1:
+        if linalg.rank(_differences(_integer_points(points)[0])) != n - 1:
             raise NotAJoint("points are affinely dependent")
         return cls(points)
 
@@ -132,21 +146,25 @@ class Joint:
 def hyperplane_normal(J: Joint) -> Vec:
     """Normal of span(J) by cofactor expansion along the formal basis row.
 
-    Entry c is (-1)^c times the minor of the difference matrix with column c
-    removed; the result is exactly orthogonal to every difference vector.
+    With the points over one denominator D, entry c is (-1)^c times the
+    minor of the integer difference matrix with column c removed, over
+    D^(n-1); the result is exactly orthogonal to every difference vector.
     """
-    diffs = [linalg.vec_sub(p, J.points[0]) for p in J.points[1:]]
+    rows, scale = _integer_points(J.points)
+    diffs = _differences(rows)
     n = J.n
-    normal = tuple(
+    # the determinant of integer rows is a whole number
+    cofactors = [
         (-1 if c % 2 else 1)
-        * linalg.det([[row[i] for i in range(n) if i != c] for row in diffs])
+        * linalg.det([row[:c] + row[c + 1:] for row in diffs]).numerator
         for c in range(n)
-    )
-    if linalg.is_zero_vec(normal):
+    ]
+    if not any(cofactors):
         raise NotAJoint("degenerate joint has no normal")
-    if any(linalg.vec_dot(normal, d) != 0 for d in diffs):
+    if any(sum(x * y for x, y in zip(cofactors, d)) for d in diffs):
         raise NonOrthogonalNormal("cofactor normal is not orthogonal to the joint")
-    return normal
+    den = scale ** (n - 1)
+    return tuple(Fraction(x, den) for x in cofactors)
 
 
 class AffineFlat:
@@ -294,19 +312,26 @@ class Prism:
 
     @classmethod
     def between(cls, J1: Joint, J2: Joint) -> "Prism":
-        dirs = [linalg.vec_sub(q, p) for p, q in zip(J1.points, J2.points)]
-        if any(linalg.is_zero_vec(d) for d in dirs):
+        n = len(J1.points)
+        rows, _ = _integer_points(J1.points + J2.points)
+        bases = rows[:n]
+        dirs = [[y - x for x, y in zip(a, b)] for a, b in zip(bases, rows[n:])]
+        if not all(any(d) for d in dirs):
             raise DegenerateSpan("coincident points give no prism line")
-        if linalg.rank(dirs) != 1:
+        first = dirs[0]
+        p = next(c for c, x in enumerate(first) if x)
+        lead = first[p]
+        # every direction is a multiple of the first iff they have rank 1
+        if any(x * lead != y * d[p] for d in dirs for x, y in zip(d, first)):
             raise DegenerateSpan("connecting lines are not parallel")
-        lead = next(c for c in dirs[0] if c != 0)
-        direction = linalg.vec_scale(dirs[0], 1 / lead)
-        for i in range(len(J1.points)):
-            for j in range(i + 1, len(J1.points)):
-                gap = linalg.vec_sub(J1.points[j], J1.points[i])
-                if linalg.rank([direction, gap]) != 2:
-                    raise DegenerateSpan(f"prism lines {i} and {j} coincide")
-        return cls(J1.points, direction)
+        # two lines coincide iff their bases agree once each slides along
+        # the direction to coordinate p = 0 (scaled by lead)
+        keys = [tuple(x * lead - a[p] * y for x, y in zip(a, first)) for a in bases]
+        if len(set(keys)) != n:
+            i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
+                        if keys[i] == keys[j])
+            raise DegenerateSpan(f"prism lines {i} and {j} coincide")
+        return cls(J1.points, tuple(Fraction(x, lead) for x in first))
 
     @property
     def n(self) -> int:
@@ -524,18 +549,23 @@ def centroid_coincidence_check(pj: Polyjoint, expected: ProjPoint) -> CentroidRe
 
 def line_meet(p0: Vec, p1: Vec, q0: Vec, q1: Vec) -> Vec:
     """Meet of lines p0p1 and q0q1 in R^d (the lines must be coplanar)."""
-    if p0 == p1 or q0 == q1:
+    (a0, a1, b0, b1), scale = _integer_points((p0, p1, q0, q1))
+    if a0 == a1 or b0 == b1:
         raise DegenerateJoin("cannot join coincident points")
-    u = linalg.vec_sub(p1, p0)
-    v = linalg.vec_sub(q1, q0)
-    w = linalg.vec_sub(q0, p0)
+    u = [y - x for x, y in zip(a0, a1)]
+    v = [y - x for x, y in zip(b0, b1)]
     # p0 + t u = q0 + s v: one elimination decides meet, skew and parallel
-    space = linalg.solution_space([[a, -b] for a, b in zip(u, v)], w, 2)
+    space = linalg.integer_solution_space(
+        [[x, -y, z - w] for x, y, z, w in zip(u, v, b0, a0)], 2
+    )
     if space is None and linalg.rank([u, v]) == 2:
         raise NonCoplanarDiagonals("lines are skew")
-    if space is None or space[1]:
+    if space is None or space[2]:
         raise DegenerateMeet("parallel or identical lines have no single meet")
-    return linalg.vec_add(p0, linalg.vec_scale(u, space[0][0]))
+    num, den, _ = space
+    t = num[0]
+    scale *= den
+    return tuple(Fraction(x * den + t * y, scale) for x, y in zip(a0, u))
 
 
 def _child_tag(X: NPoint, slot: int) -> object:

@@ -3,21 +3,22 @@
 The ``Fraction`` interface (``rref``, ``rank``, ``nullspace``,
 ``solution_space``, ``solve``, ``det``) takes rational rows and returns
 ``Fraction`` results, so rank, solvability and transversality decisions are
-exact.  Inside, every routine runs on Python ints: integer rows are taken as
-they are, any other row is cleared of its denominators once, elimination is
-fraction-free (gcd-reduced Gauss-Jordan for ``rref`` and its callers, Bareiss
-for ``det``), and the division by the pivots happens once at the end.  The
-reduced row echelon form is unique, so the results are exactly those of
-elimination over the rationals.
+exact.  Inside, every routine runs on Python ints: at this boundary integer
+rows are taken as they are and any other row is cleared of its denominators
+once; elimination is fraction-free (gcd-reduced Gauss-Jordan for ``rref``
+and its callers, Bareiss for ``det``), and the division by the pivots
+happens once at the end.  The reduced row echelon form is unique, so the
+results are exactly those of elimination over the rationals.
 
-Callers that keep their own data in ints use the integer interface:
-``integer_echelon`` gives the reduced echelon rows as primitive integer rows,
-``integer_kernel`` the kernel rows read off echelon rows, and
-``integer_solution_space`` the solutions of an augmented system as numerators
-over one denominator plus integer kernel rows; ``solution_space`` and
-``nullspace`` are ``Fraction`` wrappers over the same step.  Matrices are
-lists of row lists; the sizes that occur in this package are tiny (at most
-eight or so columns).
+Callers that keep their own data in ints use the integer interface, whose
+rows must already be ints: it enters the elimination loop directly, with no
+scan for fractions and no conversion.  ``integer_echelon`` gives the reduced
+echelon rows as primitive integer rows, ``integer_kernel`` the kernel rows
+read off echelon rows, and ``integer_solution_space`` the solutions of an
+augmented system as numerators over one denominator plus integer kernel
+rows; ``solution_space`` and ``nullspace`` clear denominators and then run
+the same steps.  Matrices are lists of row lists; the sizes that occur in
+this package are tiny (at most eight or so columns).
 """
 
 from __future__ import annotations
@@ -27,26 +28,6 @@ from math import gcd, lcm
 from typing import Sequence
 
 Vec = tuple[Fraction, ...]
-
-
-def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(u: Sequence[Fraction], c: Fraction) -> Vec:
-    return tuple(a * c for a in u)
-
-
-def vec_dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
-
-
-def is_zero_vec(u: Sequence[Fraction]) -> bool:
-    return all(a == 0 for a in u)
 
 
 def integer_row(row: Sequence) -> tuple[Sequence[int], int]:
@@ -62,39 +43,50 @@ def integer_row(row: Sequence) -> tuple[Sequence[int], int]:
     return [a * (scale // d) for a, d in ratios], scale
 
 
-def _eliminate(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan on the first ncols columns.
+def _integer_rows(rows: Sequence[Sequence]) -> list[Sequence[int]]:
+    """Each row cleared of its denominators (integer rows as they are)."""
+    return [integer_row(row)[0] for row in rows]
 
-    Returns integer rows and the pivot columns.  Row r < len(pivots) is a
-    multiple of row r of the reduced echelon form (pivot entry nonzero, zero
-    in every other pivot column); the rows past the pivots are zero in the
-    first ncols columns.  Every new row is divided by the gcd of its entries,
-    which keeps them as short as the minors they stand for.
+
+def _eliminate(m: list[Sequence[int]], ncols: int) -> list[int]:
+    """Fraction-free Gauss-Jordan on the first ncols columns of integer rows.
+
+    Works in place on the list m (its rows are replaced, never changed) and
+    returns the pivot columns.  Row r < len(pivots) is a multiple of row r of
+    the reduced echelon form (pivot entry nonzero, zero in every other pivot
+    column); the rows past the pivots are zero in the first ncols columns.
+    Every new row is divided by the gcd of its entries, which keeps them as
+    short as the minors they stand for.
     """
-    m = [integer_row(row)[0] for row in rows]
+    size = len(m)
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        if r == len(m):
+        if r == size:
             break
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
+        for pivot in range(r, size):
+            if m[pivot][c]:
+                break
+        else:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        top = m[r]
+        top = m[pivot]
+        if pivot != r:
+            m[pivot] = m[r]
+            m[r] = top
         p = top[c]
-        for i, row in enumerate(m):
+        for i in range(size):
+            row = m[i]
             a = row[c]
-            if i == r or not a:
+            if not a or i == r:
                 continue
             g = gcd(p, a)
-            pg, ag = p // g, a // g
+            pg, ag = (p, a) if g == 1 else (p // g, a // g)
             row = [pg * x - ag * y for x, y in zip(row, top)]
             content = gcd(*row)
             m[i] = [x // content for x in row] if content > 1 else row
         pivots.append(c)
         r += 1
-    return m, pivots
+    return pivots
 
 
 def rref(rows: Sequence[Sequence[Fraction]], ncols: int | None = None):
@@ -105,7 +97,8 @@ def rref(rows: Sequence[Sequence[Fraction]], ncols: int | None = None):
     """
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    m, pivots = _eliminate(rows, ncols)
+    m = _integer_rows(rows)
+    pivots = _eliminate(m, ncols)
     out = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
     out += [[Fraction(x) for x in row] for row in m[len(pivots):]]
     return out, pivots
@@ -114,17 +107,18 @@ def rref(rows: Sequence[Sequence[Fraction]], ncols: int | None = None):
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     if not rows:
         return 0
-    return len(_eliminate(rows, len(rows[0]))[1])
+    return len(_eliminate(_integer_rows(rows), len(rows[0])))
 
 
-def integer_echelon(rows: Sequence[Sequence], ncols: int) -> tuple[list[Sequence[int]], list[int]]:
-    """Reduced row echelon form of the first ncols columns, in ints.
+def integer_echelon(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[Sequence[int]], list[int]]:
+    """Reduced row echelon form of the first ncols columns of integer rows.
 
     Returns one row per pivot column and the pivot columns.  Each row is the
     reduced echelon row scaled to the primitive integer row (gcd 1) whose
     pivot entry is positive, so the rows are unique for the row space.
     """
-    m, pivots = _eliminate(rows, ncols)
+    m = list(rows)
+    pivots = _eliminate(m, ncols)
     out = []
     for row, p in zip(m, pivots):
         g = gcd(*row)
@@ -139,7 +133,7 @@ def integer_kernel(m: Sequence[Sequence[int]], pivots: Sequence[int],
     """Integer kernel rows of an eliminated system, one per free column f.
 
     m holds one integer row per pivot, a multiple of the reduced echelon row
-    (as ``_eliminate`` and ``integer_echelon`` give them).  Each kernel row
+    (as ``_eliminate`` and ``integer_echelon`` leave them).  Each kernel row
     comes with its entry in column f, a positive scale: the row over its
     scale is the kernel vector with 1 in column f and 0 in the other free
     columns.
@@ -160,20 +154,23 @@ def integer_kernel(m: Sequence[Sequence[int]], pivots: Sequence[int],
 
 def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Vec]:
     """Basis of {x : rows @ x = 0} in R^ncols."""
+    m = _integer_rows(rows)
+    pivots = _eliminate(m, ncols)
     return [tuple(Fraction(x, scale) for x in row)
-            for row, scale in integer_kernel(*_eliminate(rows, ncols), ncols)]
+            for row, scale in integer_kernel(m, pivots, ncols)]
 
 
-def integer_solution_space(aug: Sequence[Sequence], ncols: int):
-    """All solutions of the augmented system [A | b] in Q^ncols, in ints.
+def integer_solution_space(aug: Sequence[Sequence[int]], ncols: int):
+    """All solutions of the augmented integer system [A | b] in Q^ncols.
 
-    One elimination of the rows [A | b] (A has ncols columns).  Returns
+    One elimination of the integer rows [A | b] (A has ncols columns).  Returns
     ``(num, den, kernel)``: the solution with free variables 0 is num / den,
     where den > 0 is the lcm of the pivots, and kernel holds the integer
     kernel rows with their scales, as ``integer_kernel`` gives them.  Returns None
     if the system is inconsistent.
     """
-    m, pivots = _eliminate(aug, ncols)
+    m = list(aug)
+    pivots = _eliminate(m, ncols)
     if any(row[ncols] for row in m[len(pivots):]):
         return None
     den = lcm(*(row[p] for row, p in zip(m, pivots)))
@@ -190,7 +187,7 @@ def solution_space(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction],
     Returns one solution (free variables 0) and a nullspace basis, or None
     if the system is inconsistent.
     """
-    aug = [[*row, b] for row, b in zip(rows, rhs, strict=True)]
+    aug = _integer_rows([(*row, b) for row, b in zip(rows, rhs, strict=True)])
     space = integer_solution_space(aug, ncols)
     if space is None:
         return None

@@ -216,6 +216,36 @@ def test_iterate_svg_deterministic(hex_file, tmp_path, capsys):
     assert a.read_text().startswith('<?xml version="1.0"')
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "--map", "pent2d", "--n", "3", "--out", "{missing}"),
+    ("iterate", "{b126}", "--steps", "1", "--svg", "{missing}"),
+    ("iterate", "{hex}", "--steps", "1", "--svg", "{missing}"),
+    ("iterate", "{mirror}", "--steps", "1", "--svg", "{missing}"),
+], ids=["gen", "iterate-rows", "iterate-points", "iterate-mirror"])
+def test_unwritable_output_path_is_usage_error(files, tmp_path, capsys, argv):
+    missing = tmp_path / "nodir" / "x.out"
+    argv = [a.format(missing=missing, **files) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"usage error: cannot write {missing}: " \
+        f"[Errno 2] No such file or directory: '{missing}'\n"
+    assert not missing.parent.exists()
+
+
+def test_iterate_svg_of_a_vertex_at_infinity(tmp_path, capsys):
+    # the iterates are printed before the drawing fails on the point at infinity
+    path, svg = tmp_path / "p3.json", tmp_path / "p3.svg"
+    assert run(capsys, "gen", "--map", "pent2d", "--n", "3", "--seed", "3",
+               "--range", "3", "--out", str(path)) == (0, "", "")
+    assert run(capsys, "iterate", str(path), "--steps", "1", "--svg", str(svg)) == (
+        2,
+        "step 0:\n(-1, -1)\n(1, -1)\n(1, 2)\n(0, 2)\n(0, 0)\n(-1, 0)\n"
+        "step 1:\n(-1/2, -1/4)\n(1/3, 1)\n(2/5, 4/5)\n[1 : 2 : 0]\n(-2, -2)\n(-1/3, -1/3)\n",
+        "degenerate input: (1 : 2 : 0) has no affine coordinates\n",
+    )
+    assert not svg.exists()
+
+
 def test_iterate_negative_steps(hex_file, capsys):
     assert run(capsys, "iterate", hex_file, "--steps", "-1")[0] == 3
 
@@ -471,6 +501,21 @@ def test_parallel_trials_byte_identical(capsys, monkeypatch):
     monkeypatch.setenv("PENTAGRAM_LAB_THREADS", "4")
     code_b, out_b, _ = run(capsys, *argv)
     assert (code_a, out_a) == (code_b, out_b)
+
+
+@pytest.mark.parametrize("threads", ["2", "3"])
+@pytest.mark.parametrize("trials", ["3", "5", "7"])
+@pytest.mark.parametrize("argv", [
+    ("--theorem", "T002", "--n", "3", "--seed", "264"),  # trial 1 is degenerate
+    ("--theorem", "L2-mating", "--n", "4", "--seed", "0"),
+], ids=["T002-degenerate", "L2-mating"])
+def test_pooled_trials_match_serial(capsys, monkeypatch, argv, trials, threads):
+    argv = ("verify", "--random", "--trials", trials, *argv)
+    monkeypatch.setenv("PENTAGRAM_LAB_THREADS", "1")
+    serial = run(capsys, *argv)
+    monkeypatch.setenv("PENTAGRAM_LAB_THREADS", threads)
+    assert run(capsys, *argv) == serial
+    assert serial[0] == (2 if "T002" in argv else 0)
 
 
 def test_bad_thread_cap(capsys, monkeypatch):

@@ -1,10 +1,13 @@
-"""AffineFlat and line_meet against a plain Fraction reference.
+"""AffineFlat, line_meet, joints, prisms and normals against a plain
+Fraction reference.
 
 ``RefFlat`` is the Fraction form of ``AffineFlat``: a reduced echelon basis
 with pivot 1, a base point with zeros in the pivot columns, and equations
 taken from the nullspace of the basis.  It runs on the small Gauss-Jordan
 loop over ``Fraction`` below and shares no code with the library, so every
-result of the integer ``AffineFlat`` must equal it exactly.
+result of the integer ``AffineFlat`` must equal it exactly.  The joint,
+prism and normal references restate the rank tests and the cofactor
+expansion over ``Fraction`` in the same way.
 """
 
 from fractions import Fraction
@@ -12,8 +15,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pentagram_lab.errors import DegenerateJoin, DegenerateMeet, NonCoplanarDiagonals
-from pentagram_lab.lifting import AffineFlat, NPoint, line_meet, mating, star
+from pentagram_lab.errors import (
+    DegenerateJoin,
+    DegenerateMeet,
+    DegenerateSpan,
+    NonCoplanarDiagonals,
+    NotAJoint,
+)
+from pentagram_lab.lifting import (
+    AffineFlat,
+    Joint,
+    NPoint,
+    Prism,
+    hyperplane_normal,
+    line_meet,
+    mating,
+    star,
+)
 
 # ---------------------------------------------------------------------------
 # reference: exact Gauss-Jordan over Fraction
@@ -136,6 +154,46 @@ def ref_line_meet(p0, p1, q0, q1):
         raise DegenerateMeet("parallel or identical lines have no single meet")
     t = _solution_space([[a, -b] for a, b in zip(u, v)], w, 2)[0][0]
     return tuple(a + t * b for a, b in zip(p0, u))
+
+
+def _det(m):
+    """Laplace expansion along the first row."""
+    if not m:
+        return Fraction(1)
+    return sum((
+        (-1) ** c * m[0][c] * _det([row[:c] + row[c + 1:] for row in m[1:]])
+        for c in range(len(m))
+    ), Fraction(0))
+
+
+def ref_joint_error(points):
+    n = len(points)
+    if _rank([_sub(p, points[0]) for p in points[1:]]) != n - 1:
+        return NotAJoint, "points are affinely dependent"
+    return None
+
+
+def ref_normal(points):
+    diffs = [list(_sub(p, points[0])) for p in points[1:]]
+    return tuple(
+        (-1) ** c * _det([row[:c] + row[c + 1:] for row in diffs])
+        for c in range(len(points))
+    )
+
+
+def ref_between(bases, tops):
+    dirs = [_sub(q, p) for p, q in zip(bases, tops)]
+    if any(all(c == 0 for c in d) for d in dirs):
+        return DegenerateSpan, "coincident points give no prism line"
+    if _rank(dirs) != 1:
+        return DegenerateSpan, "connecting lines are not parallel"
+    lead = next(c for c in dirs[0] if c != 0)
+    direction = tuple(c / lead for c in dirs[0])
+    for i in range(len(bases)):
+        for j in range(i + 1, len(bases)):
+            if _rank([direction, _sub(bases[j], bases[i])]) != 2:
+                return DegenerateSpan, f"prism lines {i} and {j} coincide"
+    return tuple(bases), direction
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +347,83 @@ def test_line_meet_matches_reference(points, data):
     assert _meet_or_error(line_meet, p0, p1, q0, q1) == _meet_or_error(
         ref_line_meet, p0, p1, q0, q1
     )
+
+
+@st.composite
+def point_sets(draw):
+    """n points of R^n, often with one an affine combination of others."""
+    n = draw(st.integers(2, 5))
+    points = draw(st.lists(vectors(n), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        t = draw(rationals)
+        points[k] = tuple(a + t * (b - a) for a, b in zip(points[i], points[j]))
+    return points
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_sets())
+def test_joint_and_normal_match_reference(points):
+    expected = ref_joint_error(points)
+    try:
+        J = Joint.of(points)
+    except NotAJoint as exc:
+        assert (NotAJoint, str(exc)) == expected
+        return
+    assert expected is None
+    assert J.points == tuple(points)
+    assert all(type(c) is Fraction for p in J.points for c in p)
+    normal = hyperplane_normal(J)
+    assert normal == ref_normal(points)
+    assert all(type(c) is Fraction for c in normal)
+
+
+@st.composite
+def prism_pairs(draw):
+    """Two n-point sets whose connecting lines are often parallel, with
+    planted coincident lines (p_j = p_i + mu w) and coincident points."""
+    n = draw(st.integers(2, 5))
+    bases = draw(st.lists(vectors(n), min_size=n, max_size=n))
+    w = draw(vectors(n).filter(any))
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        mu = draw(rationals)
+        bases[j] = tuple(a + mu * b for a, b in zip(bases[i], w))
+    steps = [draw(nonzero) for _ in range(n)]
+    if draw(st.integers(0, 4)) == 0:
+        steps[draw(st.integers(0, n - 1))] = Fraction(0)
+    tops = [tuple(a + s * b for a, b in zip(p, w)) for p, s in zip(bases, steps)]
+    if draw(st.integers(0, 4)) == 0:
+        tops[-1] = draw(vectors(n))
+    return bases, tops
+
+
+@settings(max_examples=200, deadline=None)
+@given(prism_pairs())
+def test_prism_between_matches_reference(pair):
+    bases, tops = pair
+    # Joint() skips the independence test, so several lines may coincide
+    J1, J2 = Joint(tuple(bases)), Joint(tuple(tops))
+    try:
+        T = Prism.between(J1, J2)
+    except DegenerateSpan as exc:
+        got = DegenerateSpan, str(exc)
+    else:
+        got = T.bases, T.direction
+        assert all(type(c) is Fraction for c in T.direction)
+    assert got == ref_between(bases, tops)
+
+
+def test_prism_between_names_the_first_coincident_pair():
+    # lines 1 and 2 coincide, and so do lines 0 and 3: (0, 3) comes first
+    e = [tuple(F(int(i == c)) for c in range(4)) for i in range(4)]
+    w = e[3]
+    bases = (e[0], e[1], tuple(a + b for a, b in zip(e[1], w)),
+             tuple(a + 2 * b for a, b in zip(e[0], w)))
+    tops = tuple(tuple(a + 3 * b for a, b in zip(p, w)) for p in bases)
+    with pytest.raises(DegenerateSpan, match=r"^prism lines 0 and 3 coincide$"):
+        Prism.between(Joint(bases), Joint(tops))
+    assert ref_between(bases, tops) == (DegenerateSpan, "prism lines 0 and 3 coincide")
 
 
 # ---------------------------------------------------------------------------
