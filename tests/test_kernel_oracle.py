@@ -3,8 +3,10 @@
 Every expectation below is derived from scratch with sympy: the canonical
 form of a homogeneous vector (primitive integers, first nonzero entry
 positive), the meet of two lines in P^m from the kernel of [a, b, -c, -d],
-and the classification of a quadruple by its rank.  Nothing is shared with
-``pentagram_lab.projcore`` or ``pentagram_lab.linalg``.
+the classification of a quadruple by its rank, joins and meets in the plane
+as kernels of 2x3 matrices, and the harmonic solves as the kernel of the
+cross-ratio relation, which is linear in the unknown point.  Nothing is
+shared with ``pentagram_lab.projcore`` or ``pentagram_lab.linalg``.
 """
 
 from fractions import Fraction
@@ -14,9 +16,26 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from pentagram_lab.errors import DegenerateJoin, DegenerateMeet, NonCoplanarDiagonals
+from pentagram_lab.errors import (
+    DegenerateJoin,
+    DegenerateMeet,
+    DimensionMismatch,
+    NonCoplanarDiagonals,
+    UndefinedProjection,
+    ZeroDenominator,
+)
 from pentagram_lab.pentagram2d import random_axis_aligned
-from pentagram_lab.projcore import ProjLine2, ProjPoint, meet_coplanar_lines
+from pentagram_lab.projcore import (
+    ProjLine2,
+    ProjPoint,
+    join_points,
+    meet_coplanar_lines,
+    meet_lines,
+    project_vertical,
+    reflect_r,
+    solve_harmonic4,
+    solve_harmonic6,
+)
 
 big_ints = st.integers(-(10**30), 10**30)
 small_ints = st.integers(-9, 9)
@@ -216,3 +235,172 @@ def test_n8_seed1_step1_vertices_are_collinear():
     P8 = random_axis_aligned(8, 1)
     assert P8.a == tuple(Fraction(x) for x in N8_SEED1_A)
     assert P8.b == tuple(Fraction(y) for y in N8_SEED1_B)
+
+
+# --- joins, meets, harmonic solves, reflection and projection ----------------
+
+coordinates = st.one_of(big_ints, small_ints, st.just(0))
+
+
+@st.composite
+def homogeneous(draw, size):
+    """A nonzero integer vector; often with leading zeros, often big."""
+    vector = draw(st.lists(coordinates, min_size=size, max_size=size))
+    zeros = draw(st.integers(0, size - 1))
+    vector[:zeros] = [0] * zeros
+    assume(any(vector))
+    return tuple(vector)
+
+
+def kernel_point(rows, ncols):
+    """The canonical kernel vector of an integer matrix of nullity one."""
+    (vector,) = sympy.Matrix(rows).nullspace()
+    assert len(vector) == ncols
+    return oracle_canonical([Fraction(int(x.p), int(x.q)) for x in vector])
+
+
+def oracle_plane_cross(u, v, error):
+    """The line through two points of P^2, or the point on two lines."""
+    if sympy.Matrix([u, v]).rank() < 2:
+        return error
+    return kernel_point([list(u), list(v)], 3)
+
+
+def det2(p, q):
+    return sympy.Matrix([[p[0], q[0]], [p[1], q[1]]]).det()
+
+
+def oracle_harmonic(relation):
+    """The point x of P^1 with relation(x) == 0, for a relation linear in x."""
+    x = sympy.symbols("x0 x1")
+    expr = sympy.expand(relation(x))
+    row = [expr.coeff(x[0]), expr.coeff(x[1])]
+    if row == [0, 0]:
+        return ZeroDenominator
+    return kernel_point([row], 2)
+
+
+def oracle_harmonic4(a, b, d):
+    """c with [a, b, c, d] = -1: [a,b][c,d] + [b,c][d,a] = 0."""
+    return oracle_harmonic(lambda c: det2(a, b) * det2(c, d) + det2(b, c) * det2(d, a))
+
+
+def oracle_harmonic6(a, b, c, e, f):
+    """d with [a, b, c, d, e, f] = -1: [a,b][c,d][e,f] + [b,c][d,e][f,a] = 0."""
+    return oracle_harmonic(
+        lambda d: det2(a, b) * det2(c, d) * det2(e, f) + det2(b, c) * det2(d, e) * det2(f, a)
+    )
+
+
+def outcome(fn, *args):
+    """Canonical coordinates of the result, or the class of the error raised."""
+    try:
+        result = fn(*args)
+    except (DegenerateJoin, DegenerateMeet, ZeroDenominator, UndefinedProjection,
+            DimensionMismatch) as exc:
+        return type(exc)
+    coords = result.coords if isinstance(result, ProjPoint) else result.coeffs
+    assert all(type(c) is int for c in coords)
+    return coords
+
+
+@given(homogeneous(3), homogeneous(3))
+@settings(max_examples=80, derandomize=True)
+def test_join_and_meet_match_oracle(u, v):
+    points = ProjPoint(u), ProjPoint(v)
+    assert outcome(join_points, *points) == oracle_plane_cross(u, v, DegenerateJoin)
+    lines = ProjLine2(u), ProjLine2(v)
+    assert outcome(meet_lines, *lines) == oracle_plane_cross(u, v, DegenerateMeet)
+
+
+@given(homogeneous(3))
+@settings(max_examples=40, derandomize=True)
+def test_coincident_points_and_identical_lines_match_oracle(u):
+    scaled = tuple(-7 * x for x in u)
+    assert oracle_plane_cross(u, scaled, DegenerateJoin) is DegenerateJoin
+    assert outcome(join_points, ProjPoint(u), ProjPoint(scaled)) is DegenerateJoin
+    assert outcome(meet_lines, ProjLine2(u), ProjLine2(scaled)) is DegenerateMeet
+
+
+# points of P^1 from a small pool, so coincidences and 0/0 systems are common
+line_points = st.one_of(homogeneous(2), st.sampled_from([(1, 0), (0, 1), (1, 1), (-2, 3)]))
+
+
+@given(st.lists(line_points, min_size=3, max_size=3))
+@settings(max_examples=80, derandomize=True)
+def test_harmonic4_matches_oracle(abd):
+    points = [ProjPoint(v) for v in abd]
+    assert outcome(solve_harmonic4, *points) == oracle_harmonic4(*abd)
+
+
+@given(st.lists(line_points, min_size=5, max_size=5))
+@settings(max_examples=80, derandomize=True)
+def test_harmonic6_matches_oracle(abcef):
+    points = [ProjPoint(v) for v in abcef]
+    assert outcome(solve_harmonic6, *points) == oracle_harmonic6(*abcef)
+
+
+@given(homogeneous(3))
+@settings(max_examples=80, derandomize=True)
+def test_reflection_and_projection_match_oracle(v):
+    x, y, w = v
+    point = ProjPoint(v)
+    assert outcome(reflect_r, point) == oracle_canonical((x, -y, w))
+    expected = UndefinedProjection if x == 0 and w == 0 else oracle_canonical((x, w))
+    assert outcome(project_vertical, point) == expected
+
+
+@pytest.mark.parametrize(
+    "coords, reflected",
+    [
+        ((0, 3, 1), (0, 3, -1)),
+        ((0, 3, -1), (0, 3, 1)),
+        ((0, 5, 0), (0, 1, 0)),
+        ((0, -5, 0), (0, 1, 0)),
+        ((0, 0, 4), (0, 0, 1)),
+        ((2, 0, 0), (1, 0, 0)),
+        ((-6, 4, 2), (3, 2, -1)),
+    ],
+)
+def test_reflection_keeps_the_canonical_sign(coords, reflected):
+    assert oracle_canonical((coords[0], -coords[1], coords[2])) == reflected
+    assert reflect_r(ProjPoint(coords)).coords == reflected
+
+
+def test_kernel_errors_keep_their_class_message_and_order():
+    plane = ProjPoint((1, 2, 3))
+    other = ProjPoint((4, 5, 6))
+    line1 = ProjPoint((1, 2))
+    line2 = ProjPoint((3, 1))
+    cases = [
+        # the dimension is checked first, point by point, then coincidence
+        (join_points, (line1, line1), DimensionMismatch, "expected a point of P^2, got (1 : 2)"),
+        (join_points, (plane, line2), DimensionMismatch, "expected a point of P^2, got (3 : 1)"),
+        (join_points, (plane, plane), DegenerateJoin, "join of coincident points (1 : 2 : 3)"),
+        (meet_lines, (ProjLine2((2, 4, 6)), ProjLine2((-1, -2, -3))), DegenerateMeet,
+         "meet of identical lines [1 : 2 : 3]"),
+        (solve_harmonic4, (line1, line1, plane), DimensionMismatch,
+         "expected a point of P^1, got (1 : 2 : 3)"),
+        (solve_harmonic4, (line1, line1, line1), ZeroDenominator,
+         "harmonic conjugate is indeterminate"),
+        (solve_harmonic6, (line1, line1, line1, other, line2), DimensionMismatch,
+         "expected a point of P^1, got (4 : 5 : 6)"),
+        (solve_harmonic6, (line1, line2, line1, line2, plane), DimensionMismatch,
+         "expected a point of P^1, got (1 : 2 : 3)"),
+        (solve_harmonic6, (line1, line1, line1, line2, line2), ZeroDenominator,
+         "six-point harmonic solve is indeterminate"),
+        (solve_harmonic6, (line1, line2, line1, line1, line2), ZeroDenominator,
+         "six-point harmonic solve is indeterminate"),
+        (reflect_r, (line1,), DimensionMismatch, "expected a point of P^2, got (1 : 2)"),
+        (project_vertical, (line2,), DimensionMismatch, "expected a point of P^2, got (3 : 1)"),
+        (project_vertical, (ProjPoint((0, -4, 0)),), UndefinedProjection,
+         "the vertical direction has no vertical projection"),
+    ]
+    for fn, args, error, message in cases:
+        with pytest.raises(error) as info:
+            fn(*args)
+        assert str(info.value) == message, fn.__name__
+    with pytest.raises(DimensionMismatch, match="three coefficients"):
+        ProjLine2((1, 2))
+    with pytest.raises(ValueError, match="must not all vanish"):
+        ProjLine2((0, 0, 0))
