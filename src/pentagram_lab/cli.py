@@ -251,6 +251,15 @@ def cmd_iterate(args) -> int:
 # verify
 
 
+def _verdict(values: dict, *conditions: tuple[bool, str]):
+    """``(ok, values, reason)`` for a report's ``(holds, reason)`` conditions:
+    the reason of the first condition that fails, in the order given."""
+    for holds, reason in conditions:
+        if not holds:
+            return False, values, reason
+    return True, values, ""
+
+
 def _check_T002(P: AxisAligned2):
     rep = collapse_orbit(P)
     values = {
@@ -258,13 +267,11 @@ def _check_T002(P: AxisAligned2):
         "collapse_point": _fmt_point(rep.collapse_point) if rep.collapse_point else None,
         "steps_taken": rep.steps_taken,
     }
-    if rep.ok:
-        return True, values, ""
-    if not rep.all_equal:
-        return False, values, "vertices did not all coincide"
-    if not rep.matched:
-        return False, values, "collapse point differs from the center of mass"
-    return False, values, "two-line stage certificate failed"
+    stage = rep.two_line_stage
+    return _verdict(values, (rep.all_equal, "vertices did not all coincide"),
+                    (rep.matched, "collapse point differs from the center of mass"),
+                    (stage.alternating and stage.through_centroid,
+                     "two-line stage certificate failed"))
 
 
 def _check_T003(P: AxisAlignedM):
@@ -275,13 +282,9 @@ def _check_T003(P: AxisAlignedM):
         "corrugated_certified": all(rep.corrugated_certificates),
         "steps_taken": rep.steps_taken,
     }
-    if rep.ok:
-        return True, values, ""
-    if not all(rep.corrugated_certificates):
-        return False, values, "an intermediate polygon was not corrugated"
-    if not rep.all_equal:
-        return False, values, "vertices did not all coincide"
-    return False, values, "collapse point differs from the center of mass"
+    # collapse_orbit_m raises unless every step's input is corrugated
+    return _verdict(values, (rep.all_equal, "vertices did not all coincide"),
+                    (rep.matched, "collapse point differs from the center of mass"))
 
 
 def _check_T005(row):
@@ -293,15 +296,11 @@ def _check_T005(row):
         "diamonds_sound": diamonds,
         "expected": _fmt_point(rep.expected),
     }
-    if rep.ok and diamonds:
-        return True, values, ""
-    if not diamonds:
-        return False, values, "a diamond failed to resubstitute to -1"
-    if not (rep.penultimate_constant and rep.last_constant):
-        return False, values, "final rows are not constant"
-    if not rep.shift_equal:
-        return False, values, "final rows differ under the column shift"
-    return False, values, "constant value differs from the mean of A_1"
+    return _verdict(values, (diamonds, "a diamond failed to resubstitute to -1"),
+                    (rep.penultimate_constant and rep.last_constant,
+                     "final rows are not constant"),
+                    (rep.shift_equal, "final rows differ under the column shift"),
+                    (rep.matched, "constant value differs from the mean of A_1"))
 
 
 def _check_T007(pair: AxisAlignedMirrorPair):
@@ -312,13 +311,9 @@ def _check_T007(pair: AxisAlignedMirrorPair):
         "roundtrips": all(rep.roundtrips),
         "steps_taken": rep.steps_taken,
     }
-    if rep.ok:
-        return True, values, ""
-    if not rep.all_equal:
-        return False, values, "points did not all coincide"
-    if not rep.matched:
-        return False, values, "collapse point differs from the predicted point"
-    return False, values, "an inverse round trip failed"
+    return _verdict(values, (rep.all_equal, "points did not all coincide"),
+                    (rep.matched, "collapse point differs from the predicted point"),
+                    (all(rep.roundtrips), "an inverse round trip failed"))
 
 
 def _check_T008(pair: AxisAlignedPair1):
@@ -328,19 +323,14 @@ def _check_T008(pair: AxisAlignedPair1):
         "final_row": " ".join(format_p1(y) for y in rep.final_component),
         "steps_taken": rep.steps_taken,
     }
-    if rep.ok:
-        return True, values, ""
-    if not rep.constant:
-        return False, values, "final second component is not constant"
-    return False, values, "final value differs from the mean of B"
+    return _verdict(values, (rep.constant, "final second component is not constant"),
+                    (rep.matched, "final value differs from the mean of B"))
 
 
 def _check_mating(P):
     rep = mating_orbit_check(P, _infer_variant(P))
     values = {"stages": rep.stages, "variant": rep.variant}
-    if rep.ok:
-        return True, values, ""
-    return False, values, "a mating stage disagreed with the map orbit"
+    return _verdict(values, (rep.ok, "a mating stage disagreed with the map orbit"))
 
 
 def _check_lifting(P):
@@ -350,19 +340,15 @@ def _check_lifting(P):
         "used_canonical": rep.used_canonical,
         "variant": rep.variant,
     }
-    if rep.ok:
-        return True, values, ""
     bad = ", ".join(c.check_id for c in rep.checks if not c.ok)
-    return False, values, f"lift checks failed: {bad}"
+    return _verdict(values, (rep.ok, f"lift checks failed: {bad}"))
 
 
 def _check_correspondence(pair: MirrorPair, k: int | None):
     rep = verify_correspondence(pair, pair.n - 1 if k is None else k)
-    values = {"steps_taken": rep.steps_taken}
-    if rep.ok:
-        return True, values, ""
-    first_bad = rep.per_step.index(False) + 1
-    return False, values, f"projected orbits disagree at step {first_bad}"
+    first_bad = next((j for j, same in enumerate(rep.per_step, 1) if not same), None)
+    return _verdict({"steps_taken": rep.steps_taken},
+                    (first_bad is None, f"projected orbits disagree at step {first_bad}"))
 
 
 def _of_kind(inst, kind, message: str):

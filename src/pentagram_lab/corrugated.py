@@ -195,13 +195,14 @@ class CollapseReportM:
 def collapse_orbit_m(P: AxisAlignedM) -> CollapseReportM:
     """n-1 steps of T_m with a corrugatedness certificate for each step's input.
 
-    The final all-equal state is no longer a corrugated polygon (rank drops
-    to 1), so certificates cover exactly the n-1 polygons the map acts on.
+    A step that returns has met every quadruple of its input at rank exactly
+    3 (``meet_coplanar_lines`` raises at rank 4 and at rank <= 2), so each of
+    the n-1 polygons the map acts on is certified by the step that consumed
+    it.  The final all-equal state is no longer corrugated (rank drops to 1).
     """
     n = P.n
     centroid = center_of_mass_m(P.underlying)
-    polys = orbit(P.underlying, corrugated_step, n - 1)
-    final = polys[-1].vertices
+    final = orbit(P.underlying, corrugated_step, n - 1)[-1].vertices
     all_equal = len(set(final)) == 1
     collapse_point = final[0] if all_equal else None
     matched = all_equal and collapse_point == centroid
@@ -211,7 +212,7 @@ def collapse_orbit_m(P: AxisAlignedM) -> CollapseReportM:
         centroid=centroid,
         all_equal=all_equal,
         matched=matched,
-        corrugated_certificates=tuple(is_corrugated(poly) for poly in polys[:-1]),
+        corrugated_certificates=(True,) * (n - 1),
     )
 
 

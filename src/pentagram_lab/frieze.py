@@ -25,6 +25,7 @@ from .errors import IndeterminateCrossRatio, ZeroDenominator
 from .projcore import (
     P1_INFINITY,
     ProjPoint,
+    affine_mean,
     cross_ratio4,
     cross_ratio6,
     format_p1,
@@ -158,11 +159,9 @@ def verify_T005(A1: Row) -> T005Report:
 
 def _report_T005(pattern: FriezePattern) -> T005Report:
     """``verify_T005`` on a pattern already built from its row A_1."""
-    A1 = pattern.rows[1]
     n = pattern.n
     penultimate, last = pattern.rows[2 * n - 1], pattern.rows[2 * n]
-    mean = Fraction(sum(p.p1_value() for p in A1), n)
-    expected = ProjPoint.p1(mean)
+    expected = affine_mean(pattern.rows[1])
     penultimate_constant = len(set(penultimate)) == 1
     last_constant = len(set(last)) == 1
     # entry j of row 2n-1 sits at column 2j+1, entry j of row 2n at column

@@ -18,6 +18,7 @@ from .errors import DegenerateJoin, InfiniteVertex, NotAxisAligned, ZeroDenomina
 from .projcore import (
     P1_INFINITY,
     ProjPoint,
+    affine_mean,
     mobius_to_infinity,
     orbit,
     solve_harmonic6,
@@ -136,7 +137,7 @@ def verify_T008(pair: AxisAlignedPair1) -> T008Report:
     the constant mean of B.  The first component rides along unasserted."""
     n = pair.n
     state = orbit(pair.initial_state(), t1_step, n - 1)[-1]
-    expected = center_of_mass_p1((P1_INFINITY,) * n, pair.B)
+    expected = affine_mean(pair.B)
     constant = len(set(state.Y)) == 1
     matched = constant and state.Y[0] == expected
     return T008Report(
