@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -279,16 +280,34 @@ class AffineFlat:
             for eq in self._equation_rows()
         )
 
+    def _same_ambient(self, other: "AffineFlat", verb: str) -> None:
+        if self.ambient != other.ambient:
+            raise DimensionMismatch(
+                f"cannot {verb} flats in R^{self.ambient} and R^{other.ambient}"
+            )
+
     def intersect(self, other: "AffineFlat") -> "AffineFlat | None":
-        space = linalg.integer_solution_space(
-            self._equation_rows() + other._equation_rows(), self.ambient
-        )
+        """The meet, by substituting the flat with fewer directions into the
+        other's equations: the point (num + sum u_i rows_i) / den lies on the
+        other flat iff u solves a codim x (dim + 1) integer system."""
+        self._same_ambient(other, "meet")
+        flat, eqs = (self, other) if self.dim <= other.dim else (other, self)
+        num, den, rows = flat._num, flat._den, flat._rows
+        system = [
+            [sum(map(mul, eq, row)) for row in rows]
+            + [eq[-1] * den - sum(map(mul, eq, num))]
+            for eq in eqs._equation_rows()
+        ]
+        space = linalg.integer_solution_space(system, len(rows))
         if space is None:
             return None
-        num, den, kernel = space
-        return AffineFlat._canonical(num, den, [row for row, _ in kernel])
+        u, scale, kernel = space
+        base = _combination(u, rows, [scale * x for x in num])
+        directions = [_combination(k, rows, [0] * len(num)) for k, _ in kernel]
+        return AffineFlat._canonical(base, den * scale, directions)
 
     def span_with(self, other: "AffineFlat") -> "AffineFlat":
+        self._same_ambient(other, "span")
         gap = [xb * self._den - xa * other._den
                for xa, xb in zip(self._num, other._num, strict=True)]
         return AffineFlat._canonical(self._num, self._den, [*self._rows, *other._rows, gap])
@@ -297,6 +316,14 @@ class AffineFlat:
         """Image under dropping all coordinates past the first d."""
         return AffineFlat._canonical(self._num[:d], self._den,
                                      [row[:d] for row in self._rows])
+
+
+def _combination(coeffs: Sequence[int], rows, start: list[int]) -> list[int]:
+    """start + sum coeffs[i] * rows[i], over ints."""
+    for c, row in zip(coeffs, rows):
+        if c:
+            start = [x + c * y for x, y in zip(start, row)]
+    return start
 
 
 def joint_flat(J: Joint) -> AffineFlat:
@@ -876,20 +903,24 @@ class _Skeleton:
                     return False
         return True
 
-    def slices(self, W: AffineFlat) -> SlicesReport:
+    def slices(self, W: AffineFlat) -> tuple[tuple[AffineFlat, ...], tuple[str, ...]]:
+        """The cuts of W with the level-j faces, j = codim W, as point flats
+        in face order, and the reasons W does not slice the prism; the cuts
+        are complete only when there are no reasons.  Distinctness compares
+        the cuts' canonical integer forms, not ``Fraction`` points."""
         j = W.codim
         n = self.prism.n
-        reasons = []
         if not 1 <= j <= n - 1:
-            return SlicesReport(False, j, None, (f"codimension {j} out of range",))
+            return (), (f"codimension {j} out of range",)
         self.level(min(j + 1, n - 1))  # a degenerate face raises first
+        reasons = []
         points = []
         for t, face in enumerate(self.level(j)):
             cut = W.intersect(face)
             if cut is None or cut.dim != 0:
                 reasons.append(f"face {t} at level {j} does not cut to a point")
                 continue
-            points.append(cut.base)
+            points.append(cut)
         if len(points) == n and len(set(points)) != n:
             reasons.append("slice points are not pairwise distinct")
         if j < n - 1 and not reasons:
@@ -902,8 +933,15 @@ class _Skeleton:
                 lines.append(cut)
             if len(lines) == n and len(set(lines)) != n:
                 reasons.append("slice lines are not pairwise distinct")
-        ok = not reasons
-        return SlicesReport(ok, j, tuple(points) if ok else None, tuple(reasons))
+        return tuple(points), tuple(reasons)
+
+
+def _slices_report(level: int, points: Sequence[AffineFlat],
+                   reasons: tuple[str, ...]) -> SlicesReport:
+    """The public report of a slice: its points as ``Fraction`` tuples."""
+    if reasons:
+        return SlicesReport(False, level, None, reasons)
+    return SlicesReport(True, level, tuple(p.base for p in points), ())
 
 
 def skeleton_recurrence_check(T: Prism, k: int) -> bool:
@@ -949,7 +987,7 @@ class SlicesReport:
 def slices_check(W: AffineFlat, T: Prism) -> SlicesReport:
     """codim-j W slices T: one point per level-j face, all n distinct, and
     (below the top level) one line per level-(j+1) face, all distinct."""
-    return _Skeleton(T).slices(W)
+    return _slices_report(W.codim, *_Skeleton(T).slices(W))
 
 
 def slice_points(W: AffineFlat, T: Prism) -> tuple[Vec, ...]:
@@ -993,7 +1031,8 @@ class _LiftTables:
         }
         # H_{g,k}, or the NonTransverse message it raised
         self._H: dict[tuple[int, int], AffineFlat | str] = {}
-        self._slices: dict[tuple[int, int, int], SlicesReport] = {}
+        # the (point flats, reasons) of each (H_{g,k}, prism h) slice
+        self._cuts: dict[tuple[int, int, int], tuple] = {}
 
     def H(self, g: int, k: int) -> AffineFlat:
         if (g, k) not in self._H:
@@ -1006,10 +1045,13 @@ class _LiftTables:
             raise NonTransverse(found)
         return found
 
+    def cuts(self, g: int, k: int, h: int) -> tuple[tuple[AffineFlat, ...], tuple[str, ...]]:
+        if (g, k, h) not in self._cuts:
+            self._cuts[g, k, h] = self.skeletons[h].slices(self.H(g, k))
+        return self._cuts[g, k, h]
+
     def slices(self, g: int, k: int, h: int) -> SlicesReport:
-        if (g, k, h) not in self._slices:
-            self._slices[g, k, h] = self.skeletons[h].slices(self.H(g, k))
-        return self._slices[g, k, h]
+        return _slices_report(g, *self.cuts(g, k, h))
 
     def H_indices(self) -> list[tuple[int, int]]:
         n = self.n
@@ -1033,14 +1075,12 @@ class _LiftTables:
             for h in self.skeletons:
                 if abs(h - k) > reach:
                     continue
-                report = self.slices(g, k, h)
-                if not report.ok:
-                    failures.append(
-                        f"H({g},{k}) vs prism {h}: " + "; ".join(report.reasons)
-                    )
+                points, reasons = self.cuts(g, k, h)
+                if reasons:
+                    failures.append(f"H({g},{k}) vs prism {h}: " + "; ".join(reasons))
                     continue
                 if independent:
-                    pts = frozenset(report.points)
+                    pts = frozenset(points)
                     if seen is None:
                         seen = pts
                     elif pts != seen:

@@ -10,15 +10,18 @@ prism and normal references restate the rank tests and the cofactor
 expansion over ``Fraction`` in the same way.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pentagram_lab.corrugated import random_axis_aligned_m
 from pentagram_lab.errors import (
     DegenerateJoin,
     DegenerateMeet,
     DegenerateSpan,
+    DimensionMismatch,
     NonCoplanarDiagonals,
     NotAJoint,
 )
@@ -28,10 +31,13 @@ from pentagram_lab.lifting import (
     NPoint,
     Prism,
     hyperplane_normal,
+    lift_report,
     line_meet,
     mating,
     star,
 )
+from pentagram_lab.mirror import random_axis_aligned_mirror
+from pentagram_lab.pentagram2d import random_axis_aligned
 
 # ---------------------------------------------------------------------------
 # reference: exact Gauss-Jordan over Fraction
@@ -462,3 +468,134 @@ def test_mate_names_the_failing_slot():
     X3 = NPoint(((0, 0, 0), (1, 0, 0), (1, 1, 0)), tags, seq_label=1, cycle=3)
     Y3 = NPoint(((0, 1, 1), (0, 2, 1), (5, 5, 5)), tags, seq_label=3, cycle=3)
     assert _meet_or_error(star, X3, Y3) == (NonCoplanarDiagonals, "slot 0: lines are skew")
+
+
+# ---------------------------------------------------------------------------
+# the meet by substitution: either order, every shape of pair
+
+
+@st.composite
+def directions_of_dim(draw, n, k):
+    """k directions of R^n spanning exactly k dimensions: echelon rows with
+    unit pivots, then mixed by shears and nonzero scales."""
+    pivots = sorted(draw(st.permutations(range(n)))[:k])
+    rows = [
+        [Fraction(int(c == p)) if c in pivots else draw(rationals) for c in range(n)]
+        for p in pivots
+    ]
+    for _ in range(draw(st.integers(0, 3)) if k > 1 else 0):
+        i, j = draw(st.permutations(range(k)))[:2]
+        t = draw(rationals)
+        rows[i] = [x + t * y for x, y in zip(rows[i], rows[j])]
+    return [tuple(draw(nonzero) * x for x in row) for row in rows]
+
+
+def _unit(n, i):
+    return tuple(Fraction(int(c == i)) for c in range(n))
+
+
+def _point_on(draw, base, dirs):
+    coeffs = [draw(rationals) for _ in dirs]
+    return tuple(
+        x + sum((c * d[i] for c, d in zip(coeffs, dirs)), Fraction(0))
+        for i, x in enumerate(base)
+    )
+
+
+MEET_KINDS = ("smaller", "larger", "equal", "point_on", "point_off", "whole")
+
+
+@st.composite
+def meet_pairs(draw, kind):
+    """(n, a, b) with flat a of the given kind relative to flat b."""
+    n = draw(st.integers(2, 5))
+    if kind == "equal":
+        da = db = draw(st.integers(0, n))
+    elif kind in ("smaller", "larger"):
+        low, high = sorted(draw(st.permutations(range(n + 1)))[:2])
+        da, db = (low, high) if kind == "smaller" else (high, low)
+    elif kind == "whole":
+        da, db = n, draw(st.integers(0, n))
+    else:
+        da, db = 0, draw(st.integers(0, n - 1))
+    b = draw(vectors(n)), draw(directions_of_dim(n, db))
+    if kind == "point_on":
+        a = _point_on(draw, *b), []
+    elif kind == "point_off":
+        # a point of b moved along a unit vector outside b's directions
+        i = next(i for i in range(n) if _rank([*b[1], _unit(n, i)]) > db)
+        a = tuple(x + y for x, y in zip(_point_on(draw, *b), _unit(n, i))), []
+    else:
+        a = draw(vectors(n)), draw(directions_of_dim(n, da))
+    return n, a, b
+
+
+@pytest.mark.parametrize("kind", MEET_KINDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_intersect_either_order_matches_reference(kind, data):
+    n, a, b = data.draw(meet_pairs(kind))
+    flat_a, flat_b = AffineFlat.of(*a), AffineFlat.of(*b)
+    dims = flat_a.dim, flat_b.dim
+    assert {
+        "smaller": dims[0] < dims[1], "larger": dims[0] > dims[1],
+        "equal": dims[0] == dims[1], "point_on": dims[0] == 0,
+        "point_off": dims[0] == 0 and dims[1] < n, "whole": dims[0] == n,
+    }[kind]
+    want = RefFlat.of(*a).intersect(RefFlat.of(*b))
+    ab, ba = flat_a.intersect(flat_b), flat_b.intersect(flat_a)
+    assert ab == ba
+    if kind == "point_off":
+        assert want is None
+    if want is None:
+        assert ab is None and ba is None
+    else:
+        _same(ab, want)
+        _same(ba, want)
+    if kind == "point_on":
+        assert ab == flat_a
+    if kind == "whole":
+        assert ab == flat_b
+
+
+def _ref(flat):
+    return RefFlat.of(flat.base, flat.basis)
+
+
+@pytest.mark.parametrize("sample", [
+    lambda: random_axis_aligned(5, seed=5),
+    lambda: random_axis_aligned_mirror(5, seed=5),
+    lambda: random_axis_aligned_m(3, 3, seed=0),
+], ids=["planar_n5", "mirror_n5", "corrugated_3_3"])
+def test_lift_report_meets_match_reference(monkeypatch, sample):
+    # every meet one whole battery makes, each against the reference
+    met = []
+
+    def recorded(self, other):
+        meet = original(self, other)
+        met.append((self, other, meet))
+        return meet
+
+    original = AffineFlat.intersect
+    monkeypatch.setattr(AffineFlat, "intersect", recorded)
+    assert lift_report(sample()).ok
+    assert met
+    for a, b, meet in met:
+        want = _ref(a).intersect(_ref(b))
+        if want is None:
+            assert meet is None
+        else:
+            _same(meet, want)
+
+
+def test_flats_of_different_spaces_raise(monkeypatch):
+    a = AffineFlat.of((1, 2, 3), [(1, 0, 0)])
+    b = AffineFlat.of((1, 2), [(0, 1)])
+    # raised before any arithmetic: no equation rows are read
+    monkeypatch.setattr(AffineFlat, "_equation_rows", None)
+    for x, y in ((a, b), (b, a)):
+        dims = re.escape(f"R^{x.ambient} and R^{y.ambient}")
+        with pytest.raises(DimensionMismatch, match=rf"^cannot meet flats in {dims}$"):
+            x.intersect(y)
+        with pytest.raises(DimensionMismatch, match=rf"^cannot span flats in {dims}$"):
+            x.span_with(y)

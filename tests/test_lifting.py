@@ -28,6 +28,7 @@ from pentagram_lab.lifting import (
     mating_orbit_check,
     parallel_lift,
     prism_independence_check,
+    slice_points,
     slices_check,
     star,
 )
@@ -178,6 +179,21 @@ def test_lemma32_positional_mating_planar_n5():
     with pytest.raises(NonTransverse) as exc:
         lemma32_check(flats[1], flats[5], pj.prism_at(2))
     assert "not pairwise distinct" in str(exc.value)
+
+
+def test_public_slice_api_returns_fractions():
+    # slices compare as integers inside; the public results stay Fraction tuples
+    P = random_axis_aligned(5, seed=5)
+    pj = parallel_lift(build_A_sequences(P, "planar"), canonical_heights(5, 2))
+    flats = pj.joint_flats()
+    for g, k, h in ((1, 1, 2), (2, 2, 2), (3, 3, 4), (4, 4, 4)):
+        W, T = flat_H(g, k, flats), pj.prism_at(h)
+        report = slices_check(W, T)
+        assert report.ok and report.level == g
+        points = slice_points(W, T)
+        assert points == report.points and len(set(points)) == 5
+        assert all(type(c) is Fraction for p in points for c in p)
+        assert all(len(p) == 5 and W.contains(p) for p in points)
 
 
 def _corrugated_lift_cut_short():
