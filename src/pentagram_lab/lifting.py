@@ -892,22 +892,33 @@ class _Skeleton:
         return self._levels[k - 1]
 
     def recurrence_holds(self, k: int) -> bool:
+        """t_{l-1}(j) = t_l(j-1) ^ t_l(j+1) for 2 <= l <= k, by dimension count.
+
+        Both faces contain t_{l-1}(j), so their meet is that face iff their
+        span has dimension l + 1.  Below level k the span is a level-(l+1)
+        face, whose dimension ``level`` has already checked; at level k it is
+        the span of k + 1 consecutive lines, one flat when k = n - 1.
+        """
         # every level first: a degenerate face raises before any verdict
-        self.level(k)
+        top = self.level(k)
+        if k == 1:
+            return True
         n = self.prism.n
-        for level in range(1, k):
-            prev, cur = self.level(level), self.level(level + 1)
-            for t in range(n):
-                meet = cur[(t - 1) % n].intersect(cur[t])
-                if meet is None or meet != prev[t]:
-                    return False
-        return True
+        spans = 1 if k == n - 1 else n
+        return all(top[t].span_with(top[(t + 1) % n]).dim == k + 1
+                   for t in range(spans))
 
     def slices(self, W: AffineFlat) -> tuple[tuple[AffineFlat, ...], tuple[str, ...]]:
         """The cuts of W with the level-j faces, j = codim W, as point flats
         in face order, and the reasons W does not slice the prism; the cuts
         are complete only when there are no reasons.  Distinctness compares
-        the cuts' canonical integer forms, not ``Fraction`` points."""
+        the cuts' canonical integer forms, not ``Fraction`` points.
+
+        Face t at level j + 1 is the span of level-j faces t and t + 1, and
+        holds face t as a hyperplane.  Once those two faces cut W in distinct
+        points, W cuts the span in a flat that holds both points and meets
+        the hyperplane in one point: exactly the line joining the points.
+        """
         j = W.codim
         n = self.prism.n
         if not 1 <= j <= n - 1:
@@ -924,14 +935,8 @@ class _Skeleton:
         if len(points) == n and len(set(points)) != n:
             reasons.append("slice points are not pairwise distinct")
         if j < n - 1 and not reasons:
-            lines = []
-            for t, face in enumerate(self.level(j + 1)):
-                cut = W.intersect(face)
-                if cut is None or cut.dim != 1:
-                    reasons.append(f"face {t} at level {j + 1} does not cut to a line")
-                    continue
-                lines.append(cut)
-            if len(lines) == n and len(set(lines)) != n:
+            lines = {points[t].span_with(points[(t + 1) % n]) for t in range(n)}
+            if len(lines) != n:
                 reasons.append("slice lines are not pairwise distinct")
         return tuple(points), tuple(reasons)
 
@@ -945,7 +950,9 @@ def _slices_report(level: int, points: Sequence[AffineFlat],
 
 
 def skeleton_recurrence_check(T: Prism, k: int) -> bool:
-    """t_{k-1}(j) = t_k(j-1) ^ t_k(j+1), checked exactly at every level."""
+    """t_{l-1}(j) = t_l(j-1) ^ t_l(j+1) at every level l <= k, checked
+    exactly: the meet holds t_{l-1}(j), so it is decided by the dimension of
+    the two faces' span rather than by computing the meet."""
     return _Skeleton(T).recurrence_holds(k)
 
 

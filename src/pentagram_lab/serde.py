@@ -152,10 +152,12 @@ def dumps(obj: Instance) -> str:
     return json.dumps(instance_to_dict(obj), sort_keys=True, indent=2) + "\n"
 
 
-def loads(text: str) -> Instance:
+def loads(text: str | bytes) -> Instance:
+    # ValueError: JSONDecodeError, bytes that do not decode, and integers
+    # past Python's digit limit; RecursionError: nesting too deep to decode
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise UsageError(f"invalid JSON: {exc}") from exc
     return instance_from_dict(data)
 
@@ -167,6 +169,6 @@ def save_instance(path: str | Path, obj: Instance) -> None:
 def load_instance(path: str | Path) -> Instance:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     return loads(text)

@@ -460,6 +460,31 @@ def test_malformed_instance_file(tmp_path, capsys, body, code, message):
     assert run(capsys, "iterate", str(path), "--steps", "1") == (code, "", message + "\n")
 
 
+# files json cannot decode: (bytes, message after the usage-error prefix)
+UNREADABLE_FILES = [
+    (b"\xff\xfe{", "cannot read {path}: 'utf-8' codec can't decode byte 0xff in "
+                   "position 0: invalid start byte"),
+    (b"[" * 200000 + b"]" * 200000,
+     "invalid JSON: maximum recursion depth exceeded while decoding a JSON array"),
+    (b"1" * 5000, "invalid JSON: Exceeds the limit (4300 digits) for integer string"),
+]
+
+
+@pytest.mark.parametrize("argv", [("iterate", "--steps", "1"),
+                                  ("verify", "--theorem", "T002"),
+                                  ("lift", "--check", "centroid")],
+                         ids=["iterate", "verify", "lift"])
+@pytest.mark.parametrize("body, message", UNREADABLE_FILES,
+                         ids=["not-utf8", "nested-too-deep", "integer-too-long"])
+def test_undecodable_instance_file_is_usage_error(tmp_path, capsys, argv, body, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(body)
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("usage error: " + message.format(path=path))
+    assert err.count("\n") == 1
+
+
 # -- verify --random -----------------------------------------------------
 
 

@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pentagram_lab.corrugated import random_axis_aligned_m
 from pentagram_lab.errors import (
@@ -30,10 +30,13 @@ from pentagram_lab.lifting import (
     Joint,
     NPoint,
     Prism,
+    SlicesReport,
     hyperplane_normal,
     lift_report,
     line_meet,
     mating,
+    skeleton_recurrence_check,
+    slices_check,
     star,
 )
 from pentagram_lab.mirror import random_axis_aligned_mirror
@@ -599,3 +602,137 @@ def test_flats_of_different_spaces_raise(monkeypatch):
             x.intersect(y)
         with pytest.raises(DimensionMismatch, match=rf"^cannot span flats in {dims}$"):
             x.span_with(y)
+
+
+# ---------------------------------------------------------------------------
+# L2.4 and the slice lines, decided by dimension count, against the meets
+
+
+def ref_levels(T, top):
+    """Levels 1..top of T's skeleton as RefFlats, raising as the library does."""
+    n = T.n
+    levels = [[RefFlat.of(b, [T.direction]) for b in T.bases]]
+    while len(levels) < top:
+        level, prev = len(levels) + 1, levels[-1]
+        faces = [prev[t].span_with(prev[(t + 1) % n]) for t in range(n)]
+        for t, face in enumerate(faces):
+            if face.dim != level:
+                raise DegenerateSpan(f"level {level} face {t} has dimension {face.dim}")
+        levels.append(faces)
+    return levels
+
+
+def ref_recurrence(T, k):
+    """t_{l-1}(j) = t_l(j-1) ^ t_l(j+1) for 2 <= l <= k, by computing each meet."""
+    levels, n = ref_levels(T, k), T.n
+    for prev, cur in zip(levels, levels[1:]):
+        for t in range(n):
+            meet = cur[(t - 1) % n].intersect(cur[t])
+            if meet is None or (meet.base, meet.basis) != (prev[t].base, prev[t].basis):
+                return False
+    return True
+
+
+def ref_slices(W, T):
+    """W against every level-j and level-(j+1) face, each cut by a meet."""
+    n, j = T.n, W.codim
+    if not 1 <= j <= n - 1:
+        return SlicesReport(False, j, None, (f"codimension {j} out of range",))
+    levels = ref_levels(T, min(j + 1, n - 1))
+    reasons, points = [], []
+    for t, face in enumerate(levels[j - 1]):
+        cut = W.intersect(face)
+        if cut is None or cut.dim != 0:
+            reasons.append(f"face {t} at level {j} does not cut to a point")
+        else:
+            points.append(cut.base)
+    if len(points) == n and len(set(points)) != n:
+        reasons.append("slice points are not pairwise distinct")
+    if j < n - 1 and not reasons:
+        lines = []
+        for t, face in enumerate(levels[j]):
+            cut = W.intersect(face)
+            if cut is None or cut.dim != 1:
+                reasons.append(f"face {t} at level {j + 1} does not cut to a line")
+            else:
+                lines.append((cut.base, cut.basis))
+        if len(lines) == n and len(set(lines)) != n:
+            reasons.append("slice lines are not pairwise distinct")
+    if reasons:
+        return SlicesReport(False, j, None, tuple(reasons))
+    return SlicesReport(True, j, tuple(points), ())
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except DegenerateSpan as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def skeleton_cases(draw):
+    """A prism in R^n whose bases often include a planted collinear or
+    affinely dependent point, and a flat W through its lines or free."""
+    n = draw(st.integers(2, 5))
+    bases = draw(st.lists(vectors(n), min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, 2))):
+        i, j, k, m = (draw(st.integers(0, n - 1)) for _ in range(4))
+        s, t = draw(rationals), draw(rationals)
+        bases[m] = tuple(a + s * (b - a) + t * (c - a)
+                         for a, b, c in zip(bases[i], bases[j], bases[k]))
+    w = draw(vectors(n).filter(any))
+    steps = [draw(nonzero) for _ in bases]
+    tops = [tuple(a + s * b for a, b in zip(p, w)) for p, s in zip(bases, steps)]
+    # codimension 1..n-1, now and then 0 or n
+    dim = n - draw(st.integers(1, n - 1) if draw(st.integers(0, 9)) else st.sampled_from([0, n]))
+    if draw(st.booleans()):
+        # points on the prism lines, so cuts often repeat or degenerate
+        points = [
+            tuple(a + draw(rationals) * b for a, b in zip(draw(st.sampled_from(bases)), w))
+            for _ in range(dim + 1)
+        ]
+        W = points[0], [_sub(p, points[0]) for p in points[1:]]
+    else:
+        W = draw(vectors(n)), draw(directions_of_dim(n, dim))
+    return bases, tops, W
+
+
+def _case(bases, step, W):
+    bases = [tuple(map(F, p)) for p in bases]
+    tops = [tuple(a + b for a, b in zip(p, map(F, step))) for p in bases]
+    return bases, tops, (tuple(map(F, W[0])), [tuple(map(F, d)) for d in W[1]])
+
+
+# three lines in one plane: the top recurrence fails
+COPLANAR_LINES = _case([(0, 0, 0), (1, 0, 0), (2, 0, 0)], (0, 0, 1), ((0, 0, 0), [(1, 0, 0)]))
+# the plane z = x + 2y + 1 cuts three lines in distinct points and lines
+SLICED_PLANE = _case([(0, 0, 0), (1, 0, 0), (0, 1, 0)], (0, 0, 1),
+                     ((0, 0, 1), [(1, 0, 1), (0, 1, 2)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(skeleton_cases())
+@example(COPLANAR_LINES)
+@example(SLICED_PLANE)
+def test_dimension_count_verdicts_match_meets(case):
+    bases, tops, (w_base, w_dirs) = case
+    try:
+        T = Prism.between(Joint(tuple(bases)), Joint(tuple(tops)))
+    except DegenerateSpan:
+        return
+    for k in range(1, T.n):
+        assert _outcome(skeleton_recurrence_check, T, k) == _outcome(ref_recurrence, T, k)
+    W = AffineFlat.of(w_base, w_dirs)
+    assert _outcome(slices_check, W, T) == _outcome(ref_slices, RefFlat.of(w_base, w_dirs), T)
+
+
+def test_dimension_count_examples_cover_both_verdicts():
+    bases, tops, W = COPLANAR_LINES
+    T = Prism.between(Joint(tuple(bases)), Joint(tuple(tops)))
+    assert skeleton_recurrence_check(T, 2) is False
+    bases, tops, W = SLICED_PLANE
+    T = Prism.between(Joint(tuple(bases)), Joint(tuple(tops)))
+    assert skeleton_recurrence_check(T, 2) is True
+    report = slices_check(AffineFlat.of(*W), T)
+    assert report.ok and report.level == 1 < T.n - 1

@@ -14,6 +14,7 @@ from pentagram_lab.errors import (
     NotAJoint,
 )
 from pentagram_lab.lifting import (
+    AffineFlat,
     Joint,
     NPoint,
     build_A_sequences,
@@ -266,6 +267,46 @@ def test_lift_report_computes_normals_once(monkeypatch):
     assert rep.ok and rep.used_canonical
     assert len(calls) == len(rep.normals) == 4
     assert rep.checks[1] == lifting.LiftCheck("L2.2", True, "normal rank 4 of 4")
+
+
+@pytest.mark.parametrize("sample", [
+    lambda: random_axis_aligned(5, seed=5),
+    lambda: random_axis_aligned_mirror(5, seed=5),
+    lambda: random_axis_aligned_m(3, 3, seed=0),
+], ids=["planar_n5", "mirror_n5", "corrugated_3_3"])
+def test_skeleton_meets_only_level_j_faces(monkeypatch, sample):
+    # L2.4 is a dimension count and the slice lines are joins of the slice
+    # points: a slice makes one meet per level-j face, the recurrence none
+    meets = []
+    calls = []
+
+    def counted(self, other):
+        meets.append((self, other))
+        return intersect(self, other)
+
+    def measured(name):
+        original = getattr(lifting._Skeleton, name)
+
+        def wrapper(skeleton, *args):
+            before = len(meets)
+            result = original(skeleton, *args)
+            calls.append((name, skeleton.prism.n, args, result, len(meets) - before))
+            return result
+
+        return wrapper
+
+    intersect = AffineFlat.intersect
+    monkeypatch.setattr(AffineFlat, "intersect", counted)
+    for name in ("recurrence_holds", "slices"):
+        monkeypatch.setattr(lifting._Skeleton, name, measured(name))
+    assert lift_report(sample()).ok
+    recurrences = [c for c in calls if c[0] == "recurrence_holds"]
+    slices = [c for c in calls if c[0] == "slices"]
+    assert recurrences and all(made == 0 for *_, made in recurrences)
+    assert slices and all(made == n for _, n, _, _, made in slices)
+    # the line pass ran: below the top level, with distinct points
+    assert any(W.codim < n - 1 and not reasons
+               for _, n, (W,), (_, reasons), _ in slices)
 
 
 @pytest.mark.parametrize("sample, chains", [
