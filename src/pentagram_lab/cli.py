@@ -9,9 +9,13 @@ Exit codes (exhaustive, mutually exclusive):
 
 All numeric stdout is exact rational strings; SVG output is the only place
 decimals appear.  Random trials are seeded per index (``seed + index``) with
-the SplitMix64 generator, so every report is reproducible; setting
-``PENTAGRAM_LAB_THREADS`` > 1 runs trials in a process pool without changing
-the output (results are ordered by trial index).
+the SplitMix64 generator, so every report is reproducible.  Setting
+``PENTAGRAM_LAB_THREADS`` to k > 1 splits a batch into at most k chunks of
+ceil(trials / k) consecutive trials: this process runs the first, and one
+forked child runs each other chunk (k - 1 children when every chunk is
+used) and sends its results back through a pipe.  The output does
+not change (results are ordered by trial index), and on a platform without
+``os.fork`` the batch runs serially.
 """
 
 from __future__ import annotations
@@ -19,13 +23,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pickle
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from math import ceil
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, NoReturn, Sequence
 
 from .corrugated import (
     AxisAlignedM,
@@ -474,7 +478,7 @@ CLAIMS = {
 
 
 def _trial_worker(payload):
-    """One seeded random trial; must stay module-level so it pickles."""
+    """One seeded random trial."""
     theorem, index, seed, n, m, k, bound = payload
     claim = CLAIMS[theorem]
     try:
@@ -483,6 +487,77 @@ def _trial_worker(payload):
     except DegeneracyError as exc:
         return index, False, f"degenerate: {exc}", {}
     return index, ok, reason, values
+
+
+def _fork_join(chunks: list[list]) -> list:
+    """``_trial_worker`` over every payload of ``chunks``, in order.
+
+    This process runs chunk 0 and one forked child runs each other chunk.
+    Every child is reaped before this returns or raises, so ``getrusage``
+    counts it.  The exception of the lowest failing trial is raised, as in a
+    serial run; a child that dies without sending its results is a
+    ``RuntimeError``.
+    """
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    try:
+        for chunk in chunks[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _trial_child(chunk, write_fd, [read_fd] + [fd for _, fd in children])
+            # closed before the next fork, so the child alone holds the
+            # write end and its exit ends the parent's read
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        results = [_trial_worker(p) for p in chunks[0]]
+        blobs = [_read_to_end(fd) for _, fd in children]
+    finally:
+        # a child still writing gets EPIPE once no process reads its pipe
+        for _, fd in children:
+            os.close(fd)
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    for (pid, _), blob, status in zip(children, blobs, statuses):
+        if status != 0:
+            raise RuntimeError(
+                f"trial worker {pid} exited without its results (wait status {status})")
+        ok, payload = pickle.loads(blob)
+        if not ok:
+            raise payload
+        results += payload
+    return results
+
+
+def _trial_child(chunk: list, write_fd: int, inherited: list[int]) -> NoReturn:
+    """Body of a forked child: run ``chunk`` and write ``(True, results)`` or
+    ``(False, exception)`` to ``write_fd`` as one pickle.  It leaves through
+    ``os._exit`` whatever happens, so it never returns into its caller's
+    frames and never flushes the stdio buffers it inherited; exit status 0
+    means the whole pickle was written."""
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        try:
+            outcome = True, [_trial_worker(p) for p in chunk]
+        except Exception as exc:  # re-raised by the parent
+            outcome = False, exc
+        with open(write_fd, "wb") as pipe:
+            pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _read_to_end(fd: int) -> bytes:
+    parts = []
+    while part := os.read(fd, 1 << 16):
+        parts.append(part)
+    return b"".join(parts)
 
 
 def cmd_verify(args) -> int:
@@ -510,12 +585,9 @@ def cmd_verify(args) -> int:
             for i in range(trials)
         ]
         cap = _thread_cap()
-        if cap > 1 and trials > 1:
-            workers = min(cap, trials)
-            # one chunk of consecutive trials per worker, not a round trip each
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_trial_worker, payloads,
-                                        chunksize=ceil(trials / workers)))
+        if cap > 1 and trials > 1 and hasattr(os, "fork"):
+            size = ceil(trials / min(cap, trials))
+            results = _fork_join([payloads[i:i + size] for i in range(0, trials, size)])
         else:
             results = [_trial_worker(p) for p in payloads]
         seeds = [p[2] for p in payloads]

@@ -16,6 +16,8 @@ Every number is a canonical rational string (``"-3/7"``, ``"5"``), so
 from __future__ import annotations
 
 import json
+import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -32,12 +34,32 @@ FORMAT_TAG = "pentagram-lab/v1"
 
 Instance = LabeledPolygon2 | PolygonM | PairState1D | MirrorPair
 
+# the exponent of a literal such as "1e5000", of which Fraction builds the power
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*\Z")
+
 
 def parse_rational(text: str) -> Fraction:
+    """``text`` as an exact rational.  A numerator or denominator with more
+    digits than Python converts to a string (``sys.get_int_max_str_digits``)
+    is a usage error, since no output could print it.  A literal whose
+    exponent alone puts it past that limit is refused before its power of
+    ten is built, even where the mantissa is zero."""
+    # 0 means no limit, as on Pythons older than 3.10.7, which lack the call
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
-        return _parse_fraction(text)
+        exponent = _EXPONENT.search(text)
+        # a nonzero mantissa has fewer than len(text) digits, too few to
+        # bring 10**|e| back under the limit
+        if limit and exponent and abs(int(exponent[1])) > limit + len(text):
+            raise UsageError(f"the exponent of {text!r} passes the {limit}-digit limit")
+        value = _parse_fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"not a rational number: {text!r}") from exc
+    widest = max(abs(value.numerator), value.denominator)
+    # 2**(3 * limit) < 10**limit, so the power is built only for long values
+    if limit and widest.bit_length() > 3 * limit and widest >= 10 ** limit:
+        raise UsageError(f"{text!r} has more than {limit} digits")
+    return value
 
 
 def parse_p1(text: str) -> ProjPoint:

@@ -3,11 +3,19 @@
 import contextlib
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pentagram_lab
+from pentagram_lab import cli
 from pentagram_lab.cli import entrypoint
+from pentagram_lab.errors import DimensionMismatch, UsageError
 from pentagram_lab.serde import dumps, load_instance
 
 HEX_INSTANCE = """\
@@ -549,6 +557,115 @@ def test_bad_thread_cap(capsys, monkeypatch):
                        "--n", "3", "--trials", "2")
     assert code == 3
     assert "PENTAGRAM_LAB_THREADS" in err
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="batches run serially")
+SRC = str(Path(pentagram_lab.__file__).resolve().parents[1])
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail, instead of hanging, when the block runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def outcome(capsys, *argv):
+    """(code, stdout, stderr), or the exception the command raised."""
+    try:
+        return run(capsys, *argv)
+    except Exception as exc:  # noqa: BLE001 - compared with the serial run
+        return repr(exc), capsys.readouterr()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# trial index -> what it raises; with 6 trials, threads 2 gives chunks
+# [0-2] [3-5] and threads 3 gives [0-1] [2-3] [4-5]
+FAILING_TRIALS = [
+    {4: UsageError("trial 4 cannot be drawn")},
+    {2: DimensionMismatch("trial 2 does not fit"), 4: UsageError("trial 4 cannot be drawn")},
+    {3: ValueError("trial 3 broke"), 5: UsageError("trial 5 cannot be drawn")},
+]
+
+
+@needs_fork
+@pytest.mark.parametrize("threads", ["2", "3"])
+@pytest.mark.parametrize("failing", FAILING_TRIALS, ids=["usage", "two-chunks", "plain-error"])
+def test_pooled_trial_errors_keep_serial_order(capsys, monkeypatch, threads, failing):
+    real = cli._trial_worker
+
+    def worker(payload):
+        if payload[1] in failing:
+            raise failing[payload[1]]
+        return real(payload)
+
+    monkeypatch.setattr(cli, "_trial_worker", worker)
+    argv = ("verify", "--theorem", "T008", "--random", "--n", "4", "--trials", "6")
+    monkeypatch.setenv("PENTAGRAM_LAB_THREADS", "1")
+    serial = outcome(capsys, *argv)
+    monkeypatch.setenv("PENTAGRAM_LAB_THREADS", threads)
+    with deadline(60):
+        assert outcome(capsys, *argv) == serial
+    assert_no_child_left()
+
+
+@needs_fork
+def test_dead_trial_worker_is_an_error(capsys, monkeypatch):
+    argv = ("verify", "--theorem", "T008", "--random", "--n", "4", "--trials", "4")
+    monkeypatch.setenv("PENTAGRAM_LAB_THREADS", "2")
+    with deadline(60):
+        assert run(capsys, *argv)[0] == 0
+    assert_no_child_left()
+
+    parent, real = os.getpid(), cli._trial_worker
+
+    def worker(payload):
+        if os.getpid() != parent:
+            os._exit(9)
+        return real(payload)
+
+    monkeypatch.setattr(cli, "_trial_worker", worker)
+    with deadline(60), pytest.raises(RuntimeError) as exc:
+        run(capsys, *argv)
+    pid = int(str(exc.value).split()[2])
+    assert pid != parent
+    assert str(exc.value) == (f"trial worker {pid} exited without its results "
+                              f"(wait status {9 << 8})")
+    assert_no_child_left()
+
+
+def test_cli_import_leaves_out_multiprocessing():
+    code = "import sys, pentagram_lab.cli; print('multiprocessing' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=60, check=True)
+    assert done.stdout == "False\n"
+
+
+@needs_fork
+def test_forked_children_leave_inherited_stdout_alone():
+    # the marker sits unflushed in the block-buffered stdout when the
+    # children fork; a child that flushed it would print it twice
+    code = ("import sys; from pentagram_lab.cli import entrypoint; sys.stdout.write('marker ');"
+            " sys.exit(entrypoint(['verify', '--theorem', 'T008', '--random', '--n', '4',"
+            " '--trials', '3']))")
+    env = {**os.environ, "PYTHONPATH": SRC, "PENTAGRAM_LAB_THREADS": "3"}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.count("marker") == 1
+    assert json.loads(done.stdout.removeprefix("marker "))["passes"] == 3
 
 
 PINNED_RANDOM = [

@@ -490,7 +490,8 @@ def directions_of_dim(draw, n, k):
         i, j = draw(st.permutations(range(k)))[:2]
         t = draw(rationals)
         rows[i] = [x + t * y for x, y in zip(rows[i], rows[j])]
-    return [tuple(draw(nonzero) * x for x in row) for row in rows]
+    scales = [draw(nonzero) for _ in rows]
+    return [tuple(s * x for x in row) for s, row in zip(scales, rows)]
 
 
 def _unit(n, i):

@@ -11,11 +11,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pentagram_lab.cli import entrypoint
+from pentagram_lab import serde
+from pentagram_lab.cli import CLAIMS, LIFT_CHECKS, entrypoint
 from pentagram_lab.corrugated import PolygonM, random_axis_aligned_m
 from pentagram_lab.errors import PentagramError, UsageError
-from pentagram_lab.lower1d import PairState1D
-from pentagram_lab.mirror import MirrorPair, random_mirror_pair
+from pentagram_lab.lower1d import PairState1D, random_b
+from pentagram_lab.mirror import MirrorPair, random_axis_aligned_mirror, random_mirror_pair
 from pentagram_lab.pentagram2d import LabeledPolygon2, random_axis_aligned
 from pentagram_lab.projcore import P1_INFINITY
 from pentagram_lab.serde import (
@@ -26,6 +27,7 @@ from pentagram_lab.serde import (
     load_instance,
     loads,
     parse_p1,
+    parse_rational,
     save_instance,
 )
 
@@ -111,6 +113,39 @@ def test_bad_rational_rejected():
     assert "rational" in str(exc.value)
 
 
+@pytest.mark.parametrize("text", ["1e4299", "-1e-4299", "12345e4295", "0.5e4300"])
+def test_rational_at_the_digit_limit_loads(text):
+    value = parse_rational(text)
+    assert max(len(str(value.numerator).lstrip("-")), len(str(value.denominator))) == 4300
+
+
+@pytest.mark.parametrize("text", ["1e4300", "-1e-4300", "12345e4296", "1e4306", "1e5000"])
+def test_rational_past_the_digit_limit_rejected(text):
+    with pytest.raises(UsageError, match="4300"):
+        parse_rational(text)
+
+
+def test_long_exponent_rejected_before_its_power_is_built(monkeypatch):
+    def build(text):
+        raise AssertionError(f"{text} reached the Fraction constructor")
+
+    monkeypatch.setattr(serde, "_parse_fraction", build)
+    with pytest.raises(UsageError, match="exponent"):
+        parse_rational("1e2000000")
+
+
+@pytest.mark.parametrize("value", ["1e5000", "1e2000000"])
+def test_iterate_file_with_a_rational_past_the_digit_limit(tmp_path, value):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"format": FORMAT_TAG, "space": "P2",
+                                "vertices": [[value, "0"], ["1", "0"], ["1", "1"], ["0", "1"]]}))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = entrypoint(["iterate", str(path), "--steps", "0"])
+    assert (code, out.getvalue()) == (3, "")
+    assert err.getvalue() == f"usage error: the exponent of '{value}' passes the 4300-digit limit\n"
+
+
 def test_invalid_json_rejected():
     with pytest.raises(UsageError) as exc:
         loads("{not json")
@@ -152,7 +187,8 @@ rationals = st.one_of(
     st.integers(-9, 9),
     st.builds(lambda p, q: f"{p}/{q}", st.integers(-9, 9), st.integers(1, 9)),
 )
-numbers = rationals | st.sampled_from(["inf", "", "1/", "1/0", "x", " 2 ", "1.5", "-0"])
+numbers = rationals | st.sampled_from(["inf", "", "1/", "1/0", "x", " 2 ", "1.5", "-0",
+                                      "1e5000", "-2e-4301"])
 json_values = st.recursive(
     st.none() | st.booleans() | numbers | st.text(max_size=3),
     lambda inner: (st.lists(inner, max_size=3)
@@ -259,3 +295,54 @@ def test_iterate_file_exit_code(raw):
                 contextlib.redirect_stderr(io.StringIO()):
             code = entrypoint(["iterate", path, "--steps", "1"])
     assert code in (0, 2, 3)
+
+
+SAMPLERS = (
+    lambda n, seed, bound: random_axis_aligned(n, seed, bound).underlying,
+    lambda n, seed, bound: random_axis_aligned_m(3, n, seed, bound).underlying,
+    lambda n, seed, bound: random_axis_aligned_mirror(n, seed, bound).underlying,
+    random_mirror_pair,
+    lambda n, seed, bound: random_b(n, seed, bound).initial_state(),
+)
+
+
+@st.composite
+def claim_documents(draw):
+    """Documents a claim can take: drawn by a sampler at a small bound, or a
+    planar polygon on small integer levels, which often coincide; else any
+    document of ``instance_documents``."""
+    kind = draw(st.integers(0, 2))
+    n = draw(st.integers(2, 5))
+    if kind == 1:
+        sample = draw(st.sampled_from(SAMPLERS))
+        seed, bound = draw(st.integers(0, 2**32)), draw(st.integers(2, 10))
+        try:
+            return instance_to_dict(sample(n, seed, bound))
+        except (ValueError, PentagramError):  # a size or bound the sampler cannot take
+            pass
+    if kind == 2:
+        xs, ys = (draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)) for _ in "xy")
+        vertices = []
+        for i in range(n):
+            vertices += [[str(xs[i]), str(ys[i])], [str(xs[(i + 1) % n]), str(ys[i])]]
+        return {"format": FORMAT_TAG, "space": "P2", "vertices": vertices}
+    return draw(instance_documents())
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=claim_documents(), command=st.sampled_from(
+    [("verify", "--theorem", claim) for claim in CLAIMS]
+    + [("lift", "--check", check) for check in sorted(LIFT_CHECKS)]
+    + [("verify", "--theorem", "T005", "--a1")]),
+    values=st.lists(numbers.map(str), max_size=6).map(",".join))
+def test_claim_command_exit_code(doc, command, values):
+    # a file for verify and lift, a value list for --a1: exit 0-3, never raise
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "instance.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        argv = [*command[:-1], f"--a1={values}"] if command[-1] == "--a1" else [*command, path]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = entrypoint(argv)
+    assert code in (0, 1, 2, 3)
