@@ -27,6 +27,7 @@ import pickle
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from math import ceil
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, NoReturn, Sequence
@@ -71,7 +72,7 @@ from .pentagram2d import (
     pentagram_step,
     random_axis_aligned,
 )
-from .projcore import ProjPoint, format_rational, orbit
+from .projcore import ProjPoint, format_ratio, format_rational, int_text, orbit
 from .rng import trial_seed
 from .serde import (
     dumps,
@@ -99,9 +100,10 @@ class _Parser(argparse.ArgumentParser):
 def _fmt_point(p: ProjPoint) -> str:
     if p.dim == 1:
         return format_p1(p)
-    if p.is_finite:
-        return "(" + ", ".join(format_rational(c) for c in p.affine_coords()) + ")"
-    return "[" + " : ".join(str(c) for c in p.coords) + "]"
+    *xs, w = p.coords
+    if w:
+        return "(" + ", ".join(format_ratio(c, w) for c in xs) + ")"
+    return "[" + " : ".join(int_text(c) for c in p.coords) + "]"
 
 
 def _print_json(payload: dict[str, Any]) -> None:
@@ -735,8 +737,15 @@ def _glue_signed_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
+@cache
+def _shared_parser() -> _Parser:
+    """The parser ``main`` reuses, built on its first call rather than at
+    import.  ``prog`` is fixed, so no message depends on when it was built."""
+    return build_parser()
+
+
 def main(argv: Sequence[str]) -> int:
-    args = build_parser().parse_args(_glue_signed_values(argv))
+    args = _shared_parser().parse_args(_glue_signed_values(argv))
     return args.func(args)
 
 

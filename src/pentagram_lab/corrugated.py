@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     DegeneracyError,
@@ -25,7 +26,7 @@ from .errors import (
     NotAxisAligned,
 )
 from .linalg import rank
-from .projcore import ProjPoint, affine_mean, meet_coplanar_lines, orbit
+from .projcore import ProjPoint, affine_mean, as_fraction, meet_coplanar_lines, orbit
 from .rng import SplitMix64
 
 
@@ -126,28 +127,33 @@ class AxisAlignedM:
 
     @classmethod
     def from_steps(cls, m: int, steps, start=None) -> "AxisAlignedM":
-        steps = tuple(tuple(Fraction(s) for s in axis) for axis in steps)
+        steps = tuple(tuple(as_fraction(s) for s in axis) for axis in steps)
         if len(steps) != m:
             raise ValueError(f"need one step tuple per axis ({m} of them)")
         n = len(steps[0])
         if n < 2 or any(len(axis) != n for axis in steps):
             raise ValueError("each axis needs the same number n >= 2 of steps")
+        # the walk runs in integers over a common denominator of every step
+        # and start coordinate
+        scale = lcm(*(s.denominator for axis in steps for s in axis))
         for j, axis in enumerate(steps):
-            if any(s == 0 for s in axis):
+            if any(s.numerator == 0 for s in axis):
                 raise NotAxisAligned(f"axis {j + 1} has a zero step")
-            if sum(axis) != 0:
+            if sum(s.numerator * (scale // s.denominator) for s in axis) != 0:
                 raise NotAxisAligned(f"axis {j + 1} steps do not sum to zero")
         if start is None:
             start = (Fraction(0),) * m
         else:
-            start = tuple(Fraction(x) for x in start)
+            start = tuple(as_fraction(x) for x in start)
             if len(start) != m:
                 raise ValueError("start point must have m coordinates")
-        point = list(start)
+        scale = lcm(scale, *(x.denominator for x in start))
+        walk = [[s.numerator * (scale // s.denominator) for s in axis] for axis in steps]
+        point = [x.numerator * (scale // x.denominator) for x in start]
         verts = []
         for t in range(m * n):
-            verts.append(ProjPoint.affine(*point))
-            point[t % m] += steps[t % m][t // m]
+            verts.append(ProjPoint((*point, scale)))
+            point[t % m] += walk[t % m][t // m]
         return cls(PolygonM.of(m, tuple(verts), 1), steps)
 
     @classmethod

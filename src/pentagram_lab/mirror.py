@@ -130,7 +130,7 @@ class AxisAlignedMirrorPair:
 
     @classmethod
     def from_values(cls, values) -> "AxisAlignedMirrorPair":
-        points = tuple(ProjPoint.affine(Fraction(v), Fraction(-1)) for v in values)
+        points = tuple(ProjPoint.affine(v, -1) for v in values)
         return cls(MirrorPair.of(points))
 
     @property

@@ -25,6 +25,7 @@ from .projcore import (
     ProjLine2,
     ProjPoint,
     affine_mean,
+    as_fraction,
     axes_normalization_map,
     join_points,
     meet_consecutive_chords,
@@ -179,17 +180,21 @@ class AxisAligned2:
 
     @classmethod
     def from_levels(cls, a, b) -> "AxisAligned2":
-        a = tuple(Fraction(x) for x in a)
-        b = tuple(Fraction(y) for y in b)
+        a = tuple(as_fraction(x) for x in a)
+        b = tuple(as_fraction(y) for y in b)
         n = len(a)
         if n < 2 or len(b) != n:
             raise ValueError("need matching x- and y-level tuples of length n >= 2")
-        if len(set(a)) != n or len(set(b)) != n:
+        # Fractions are reduced, so equal levels have equal pairs
+        xs = [(x.numerator, x.denominator) for x in a]
+        ys = [(y.numerator, y.denominator) for y in b]
+        if len(set(xs)) != n or len(set(ys)) != n:
             raise NotAxisAligned("levels must be pairwise distinct")
         verts = []
         for j in range(n):
-            verts.append(ProjPoint.affine(a[j], b[j]))
-            verts.append(ProjPoint.affine(a[(j + 1) % n], b[j]))
+            yn, yd = ys[j]
+            for xn, xd in (xs[j], xs[(j + 1) % n]):
+                verts.append(ProjPoint((xn * yd, yn * xd, xd * yd)))
         return cls(LabeledPolygon2.of(tuple(verts), 1), a, b)
 
     @classmethod

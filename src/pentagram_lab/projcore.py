@@ -10,13 +10,22 @@ The kernel is integer-native.  Joins, meets, harmonic solves and maps
 produce integer coordinates, and integer input is taken as it is.  The
 ``Fraction`` boundary sits at the constructors: a ``ProjPoint`` or
 ``ProjLine2`` built from rationals has its denominators cleared there, once,
-on the generic path that any input other than an int 2- or 3-tuple takes.
-Past it, joins, meets, harmonic solves and reflections read the int
-coordinates, form the result entries inline, and hand an int 2- or 3-tuple
-to the constructor, which divides out the content with one ``gcd`` and no
-``Fraction``.  Coplanar meets in P^m eliminate over ints too
-(``linalg.integer_echelon``).  Only the affine, P^1 and cross-ratio
-read-outs return ``Fraction`` values.
+on the generic path that any input other than an int 2- or 3-tuple takes;
+int and ``Fraction`` entries are read through their numerators and
+denominators, without building new ``Fraction``s.  ``ProjPoint.affine`` and
+``ProjPoint.p1`` put their values over a common denominator first, so they
+reach the constructor as int tuples.  Past it, joins, meets, harmonic
+solves and reflections read the int coordinates, form the result entries
+inline, and hand an int 2- or 3-tuple to the constructor, which divides out
+the content with one ``gcd`` and no ``Fraction``.  Coplanar meets in P^m
+eliminate over ints too (``linalg.integer_echelon``), ``affine_mean``
+averages over the lcm of the homogenizing coordinates, and the printed forms
+(``format_p1``, ``format_ratio``) are read from the canonical ints.  Only
+the affine, P^1 and cross-ratio read-outs return ``Fraction`` values.
+
+Every printed integer goes through ``int_text``, which writes a value past
+Python's int-to-string digit limit in chunks under the limit, so an exact
+value is never unprintable.
 
 The raw entries of a join, meet or harmonic solve share a large common
 factor, and the content division is where the kernel spends its time.
@@ -32,6 +41,7 @@ no special casing anywhere.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
@@ -71,18 +81,67 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
+def int_text(value: int) -> str:
+    """``str(value)``, also past Python's int-to-string digit limit.
+
+    A value with more digits than ``sys.get_int_max_str_digits()`` allows is
+    written in chunks of fewer digits than the limit, split off by powers of
+    ten, so an exact result is printed whatever its size."""
+    try:
+        return str(value)
+    except ValueError:
+        pass
+    width = sys.get_int_max_str_digits() - 1
+    base = 10**width
+    sign = "-" if value < 0 else ""
+    value = abs(value)
+    chunks = []
+    while value >= base:
+        value, low = divmod(value, base)
+        chunks.append(str(low).zfill(width))
+    chunks.append(str(value))
+    return sign + "".join(reversed(chunks))
+
+
+def format_ratio(num: int, den: int) -> str:
+    """The rational num/den, den != 0, in lowest terms: "n" or "n/d" with d > 0."""
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    num //= g
+    den //= g
+    if den == 1:
+        return int_text(num)
+    return f"{int_text(num)}/{int_text(den)}"
+
+
 def format_rational(value: Fraction) -> str:
     value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return format_ratio(value.numerator, value.denominator)
 
 
 def format_p1(point: ProjPoint) -> str:
     """A point of the projective line as its rational value, or "inf"."""
-    if not point.is_finite:
+    coords = point.coords
+    if coords[-1] == 0:
         return "inf"
-    return format_rational(point.p1_value())
+    if len(coords) != 2:
+        raise DimensionMismatch("p1_value needs a point of the projective line")
+    return format_ratio(*coords)
+
+
+def as_fraction(value) -> Fraction:
+    """``Fraction(value)``, reusing ``value`` when it already is one."""
+    return value if type(value) is Fraction else Fraction(value)
+
+
+def _cleared(values: Iterable) -> tuple[int, ...]:
+    """Homogeneous exact rationals times the lcm of their denominators, as
+    ints.  Int and ``Fraction`` entries are read through their numerator and
+    denominator; any other entry is converted by ``Fraction`` first."""
+    fracs = [v if type(v) is int or type(v) is Fraction else Fraction(v) for v in values]
+    scale = lcm(*(f.denominator for f in fracs))
+    return tuple(f.numerator * (scale // f.denominator) for f in fracs)
 
 
 def _canonical_ints(values: Iterable[int | Fraction]) -> tuple[int, ...]:
@@ -117,12 +176,7 @@ def _canonical_ints(values: Iterable[int | Fraction]) -> tuple[int, ...]:
                     raise ValueError("homogeneous coordinates must not all vanish")
                 return (x // g, y // g)
     values = tuple(values)
-    if all(type(v) is int for v in values):
-        ints = values
-    else:
-        fracs = [Fraction(v) for v in values]
-        scale = lcm(*(f.denominator for f in fracs))
-        ints = [f.numerator * (scale // f.denominator) for f in fracs]
+    ints = values if all(type(v) is int for v in values) else _cleared(values)
     g = gcd(*ints)
     if g == 0:
         raise ValueError("homogeneous coordinates must not all vanish")
@@ -148,14 +202,16 @@ class ProjPoint:
 
     @classmethod
     def affine(cls, *xs: int | Fraction) -> "ProjPoint":
-        return cls((*xs, 1))
+        """The point (x_1 : ... : x_d : 1), put over the lcm of the
+        denominators as an int tuple before it is canonicalized."""
+        return cls(_cleared((*xs, 1)))
 
     @classmethod
     def p1(cls, value) -> "ProjPoint":
         """Point of the projective line from a rational value or INF."""
         if isinstance(value, Infinity):
             return cls((1, 0))
-        return cls((value, 1))
+        return cls(_cleared((value, 1)))
 
     @property
     def dim(self) -> int:
@@ -186,19 +242,28 @@ class ProjPoint:
         return hash(("ProjPoint", self.coords))
 
     def __repr__(self):
-        return "(" + " : ".join(str(c) for c in self.coords) + ")"
+        return "(" + " : ".join(int_text(c) for c in self.coords) + ")"
 
 
 P1_INFINITY = ProjPoint((1, 0))
 
 
 def affine_mean(points: Sequence[ProjPoint]) -> ProjPoint:
-    """Coordinatewise mean of finite points: their center of mass."""
-    coords = [p.affine_coords() for p in points]
-    k = len(coords)
-    return ProjPoint.affine(
-        *(Fraction(sum(c[i] for c in coords), k) for i in range(len(coords[0])))
-    )
+    """Coordinatewise mean of finite points: their center of mass.
+
+    Each point (c : w) is scaled to the lcm L of the w's, so the mean is the
+    integer point (sum of c * L / w : k * L) for k points."""
+    for p in points:
+        if not p.is_finite:
+            raise InfiniteVertex(f"{p} has no affine coordinates")
+    scale = lcm(*(p.coords[-1] for p in points))
+    sums = [0] * len(points[0].coords)
+    for p in points:
+        factor = scale // p.coords[-1]
+        for i, c in enumerate(p.coords):
+            sums[i] += c * factor
+    sums[-1] = len(points) * scale
+    return ProjPoint(tuple(sums))
 
 
 class ProjLine2:
@@ -224,7 +289,7 @@ class ProjLine2:
         return hash(("ProjLine2", self.coeffs))
 
     def __repr__(self):
-        return "[" + " : ".join(str(c) for c in self.coeffs) + "]"
+        return "[" + " : ".join(int_text(c) for c in self.coeffs) + "]"
 
 
 def _need_dim(d: int, *points: ProjPoint):

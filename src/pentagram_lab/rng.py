@@ -13,6 +13,7 @@ as ``seed + i``.  Both conventions are part of the documented interface.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import ExhaustedSampling
 
@@ -50,13 +51,19 @@ class SplitMix64:
     def rational(self, bound: int) -> Fraction:
         """A fraction with numerator in [-bound, bound] and denominator in
         [1, bound], for 1 <= bound < 2^63."""
+        return Fraction(*self._ratio(bound))
+
+    def _ratio(self, bound: int) -> tuple[int, int]:
+        """The draw of ``rational(bound)`` as its reduced (numerator,
+        denominator) pair."""
         if bound < 1:
             raise ValueError("bound must be >= 1")
         if bound >= 1 << 63:
             raise ValueError("bound must be below 2**63")
         num = self.below(2 * bound + 1) - bound
         den = self.below(bound) + 1
-        return Fraction(num, den)
+        g = gcd(num, den)
+        return num // g, den // g
 
     def nonzero_rational(self, bound: int) -> Fraction:
         for _ in range(RETRY_BUDGET):
@@ -66,9 +73,10 @@ class SplitMix64:
         raise ExhaustedSampling("could not draw a nonzero rational")
 
     def distinct_rationals(self, count: int, bound: int) -> list[Fraction]:
-        """``count`` pairwise distinct rationals from ``rational(bound)``."""
+        """``count`` pairwise distinct rationals from ``rational(bound)``.
+        Distinctness is decided on reduced (numerator, denominator) pairs."""
         values: list[Fraction] = []
-        seen: set[Fraction] = set()
+        seen: set[tuple[int, int]] = set()
         budget = RETRY_BUDGET * max(count, 1)
         while len(values) < count:
             if budget <= 0:
@@ -76,10 +84,10 @@ class SplitMix64:
                     f"could not draw {count} distinct rationals with bound {bound}"
                 )
             budget -= 1
-            value = self.rational(bound)
-            if value not in seen:
-                seen.add(value)
-                values.append(value)
+            pair = self._ratio(bound)
+            if pair not in seen:
+                seen.add(pair)
+                values.append(Fraction(*pair))
         return values
 
 

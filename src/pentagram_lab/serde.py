@@ -41,7 +41,9 @@ _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*\Z")
 def parse_rational(text: str) -> Fraction:
     """``text`` as an exact rational.  A numerator or denominator with more
     digits than Python converts to a string (``sys.get_int_max_str_digits``)
-    is a usage error, since no output could print it.  A literal whose
+    is a usage error: input is held to the limit that ``int()`` applies to
+    the digits of a literal, while computed values are printed past it
+    (``projcore.int_text``).  A literal whose
     exponent alone puts it past that limit is refused before its power of
     ten is built, even where the mantissa is zero."""
     # 0 means no limit, as on Pythons older than 3.10.7, which lack the call

@@ -41,9 +41,13 @@ def svg_number(x: Fraction) -> str:
 
 
 class _Canvas:
-    """Affine map from data coordinates onto the fixed canvas (y flipped)."""
+    """Affine map from data coordinates onto the fixed canvas (y flipped).
+
+    ``text`` maps and formats each distinct point once; every polyline,
+    diagonal and circle through that point reuses the strings."""
 
     def __init__(self, points: Sequence[XY]):
+        self._text: dict[XY, tuple[str, str]] = {}
         xs = [p[0] for p in points]
         ys = [p[1] for p in points]
         lo_x, hi_x = min(xs), max(xs)
@@ -61,13 +65,17 @@ class _Canvas:
             self._off_y + (self._hi_y - p[1]) * self._scale,
         )
 
-    def fmt(self, p: XY) -> str:
-        cx, cy = self.map(p)
-        return f"{svg_number(cx)},{svg_number(cy)}"
+    def text(self, p: XY) -> tuple[str, str]:
+        """The canvas coordinates of ``p`` as SVG numbers."""
+        text = self._text.get(p)
+        if text is None:
+            cx, cy = self.map(p)
+            text = self._text[p] = (svg_number(cx), svg_number(cy))
+        return text
 
 
 def _polyline(canvas: _Canvas, pts: Sequence[XY], color: str, dashed: bool) -> str:
-    coords = " ".join(canvas.fmt(p) for p in pts)
+    coords = " ".join(",".join(canvas.text(p)) for p in pts)
     dash = ' stroke-dasharray="6,4"' if dashed else ""
     return (
         f'<polyline points="{coords}" fill="none" stroke="{color}"'
@@ -115,14 +123,11 @@ def orbit_svg(
                 seg = (it[t], it[(t + diagonal_step) % k])
                 body.append(_polyline(canvas, seg, color, dashed=True))
         for p in it:
-            cx, cy = canvas.map(p)
-            body.append(
-                f'<circle cx="{svg_number(cx)}" cy="{svg_number(cy)}" r="2.5"'
-                f' fill="{color}" />'
-            )
+            cx, cy = canvas.text(p)
+            body.append(f'<circle cx="{cx}" cy="{cy}" r="2.5" fill="{color}" />')
     if collapse is not None:
         cx, cy = canvas.map(collapse)
-        x_, y_ = svg_number(cx), svg_number(cy)
+        x_, y_ = canvas.text(collapse)
         body.append(
             f'<circle cx="{x_}" cy="{y_}" r="4" fill="none"'
             ' stroke="#000000" stroke-width="1.5" />'

@@ -1,6 +1,7 @@
 """End-to-end CLI: exit codes, exact stdout, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -826,3 +827,79 @@ def test_json_keys_sorted(hex_file, capsys):
 
 def test_no_arguments_is_usage_error(capsys):
     assert run(capsys)[0] == 3
+
+
+# -- one parser per process ------------------------------------------------
+
+
+def parser_mix(files, tmp_path):
+    """One command of each kind, including two usage errors."""
+    return [
+        ("iterate",),
+        ("verify", "--theorem", "T002", "--random", "--trials", "2"),
+        ("verify", "--theorem", "T002", files["hex"]),
+        ("verify", "--theorem", "T008", "--random", "--n", "5", "--trials", "3", "--seed", "4"),
+        ("frieze", "--a1", "-3/7,1/2,2"),
+        ("gen", "--map", "pent2d", "--n", "3", "--seed", "2"),
+        ("iterate", files["hex"], "--steps", "2", "--svg", str(tmp_path / "orbit.svg")),
+        ("lift", "--check", "centroid", files["hex"]),
+    ]
+
+
+def run_with_svg(capsys, tmp_path, argv):
+    result = run(capsys, *argv)
+    svg = tmp_path / "orbit.svg"
+    if svg.exists():
+        result += (svg.read_bytes(),)
+        svg.unlink()
+    return result
+
+
+def test_parser_is_built_once_per_process(files, tmp_path, capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def counted():
+        built.append(None)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._shared_parser.cache_clear()
+    mix = parser_mix(files, tmp_path)
+    try:
+        for i in range(20):
+            run_with_svg(capsys, tmp_path, mix[i % len(mix)])
+    finally:
+        cli._shared_parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_reused_parser_matches_fresh_parsers(files, tmp_path, capsys):
+    mix = parser_mix(files, tmp_path)
+    fresh = {}
+    for argv in mix:
+        cli._shared_parser.cache_clear()
+        fresh[argv] = run_with_svg(capsys, tmp_path, argv)
+    assert fresh[mix[0]][0] == 3 and fresh[mix[1]][0] == 3
+    assert all(result[0] == 0 for argv, result in fresh.items() if argv not in mix[:2])
+    for order in (mix, mix[::-1]):
+        cli._shared_parser.cache_clear()
+        shared = {argv: run_with_svg(capsys, tmp_path, argv) for argv in order}
+        assert shared == fresh
+
+
+# SHA-256 of the SVG that `iterate FILE --steps 2 --svg` writes, recorded
+# before the canvas formatted each point once per render
+ITERATE_SVG_DIGESTS = {
+    "hex": "a76c5e44d280e4c42a21cb98c7cc9e8eb57b32855307af322a5d075c094f1a21",
+    "mirror": "d26d0be784df7eceb9dd9a0dd9d06ea714004e294c17729609e04d76baeeb135",
+    "generic_mirror": "0aa4d417e3f7d7fe86ab3cd7796c573530a4b7ab4dd4b51730e1a20a8fb78591",
+    "pm": "bcec2d0adef28a6b903a82ef57e67550c0c2446e7343423f5162cc110c833ebe",
+}
+
+
+@pytest.mark.parametrize("name", list(ITERATE_SVG_DIGESTS))
+def test_iterate_svg_bytes_pinned(files, tmp_path, capsys, name):
+    svg = tmp_path / f"{name}.svg"
+    assert run(capsys, "iterate", files[name], "--steps", "2", "--svg", str(svg))[0] == 0
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == ITERATE_SVG_DIGESTS[name]
