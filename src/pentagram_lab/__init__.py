@@ -109,6 +109,8 @@ from .projcore import (
     cross_ratio4,
     cross_ratio6,
     format_rational,
+    is_harmonic4,
+    is_harmonic6,
     join_points,
     meet_coplanar_lines,
     meet_lines,

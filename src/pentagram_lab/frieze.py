@@ -26,9 +26,9 @@ from .projcore import (
     P1_INFINITY,
     ProjPoint,
     affine_mean,
-    cross_ratio4,
-    cross_ratio6,
     format_p1,
+    is_harmonic4,
+    is_harmonic6,
     solve_harmonic4,
     solve_harmonic6,
 )
@@ -208,12 +208,12 @@ def verify_embedding(A1: Row) -> EmbeddingReport:
         ok = True
         for j in range(n):
             try:
-                value = cross_ratio6(
+                harmonic = is_harmonic6(
                     X[j], Y[j], Y[(j - 1) % n], Z[j], Y[j], Y[(j + 1) % n]
                 )
             except IndeterminateCrossRatio:
                 continue
-            if value != Fraction(-1):
+            if not harmonic:
                 ok = False
                 break
         per_row.append(ok)
@@ -238,10 +238,10 @@ def diamond_soundness(pattern: FriezePattern) -> bool:
             else:
                 left, right = current[(j - 1) % n], current[j]
             try:
-                value = cross_ratio4(above[j], left, produced[j], right)
+                harmonic = is_harmonic4(above[j], left, produced[j], right)
             except IndeterminateCrossRatio:
                 continue
-            if value != Fraction(-1):
+            if not harmonic:
                 return False
     return True
 
@@ -291,7 +291,7 @@ def closed_form_oracles(trials: int, seed: int, bound: int = 10) -> OracleReport
             continue
         if Y2 != ProjPoint.p1(Fraction(x1 + x3, 2)):
             failures.append(f"midpoint rule failed at {x1},{x3}")
-        if cross_ratio6(apex, Y2, ProjPoint.p1(y0), W2, Y2, ProjPoint.p1(y4)) != -1:
+        if not is_harmonic6(apex, Y2, ProjPoint.p1(y0), W2, Y2, ProjPoint.p1(y4)):
             failures.append(f"six-point relation failed at {x1},{x3},{y0},{y4}")
         closed_w = Fraction((x1 + x3) ** 2 - 4 * y0 * y4, den_w)
         if W2 != ProjPoint.p1(closed_w):

@@ -4,10 +4,15 @@ The pipeline, for an axis-aligned input P of any of the supported map
 variants (planar, corrugated, mirror with even or odd n):
 
   1. ``build_A_sequences`` extracts the tagged n-point sequences A_1, A_3, ...
-     whose chained matings reproduce the map orbit.
+     whose chained matings reproduce the map orbit.  Sequence points are the
+     map's own ``ProjPoint``s and every mate is a homogeneous integer point
+     (a cross product of joins in P^2, an integer kernel row in P^m), so the
+     chain and its comparison with the orbit (L2.7) run on canonical ints.
   2. ``parallel_lift`` raises them into R^n by appending a shared per-position
      height row, giving a Polyjoint: joints (affinely independent n-tuples)
-     whose consecutive pairs form prisms of parallel lines.
+     whose consecutive pairs form prisms of parallel lines.  Joints and prisms
+     keep integer rows over one denominator; normals, centroids and the
+     public point fields are read out as ``Fraction`` tuples.
   3. Hyperplane spans |J_k|, their intersections H_{g,k}, and the cyclic
      skeletons Sigma_k T of the prisms turn incidence claims into exact
      rank/solve computations: slicing, prism independence, and finally the
@@ -38,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -50,6 +55,7 @@ from .errors import (
     DegenerateSpan,
     DimensionMismatch,
     InconsistentTags,
+    InfiniteVertex,
     NonCoplanarDiagonals,
     NonOrthogonalNormal,
     NonTransverse,
@@ -71,44 +77,84 @@ VARIANTS = ("planar", "corrugated", "mirror_even", "mirror_odd")
 # core geometric types
 
 
-@dataclass(frozen=True)
-class NPoint:
+class _Record:
+    """Equality, hash and repr over the public fields named in ``_FIELDS``,
+    as a frozen dataclass with those fields has them.  Subclasses keep their
+    data in integer form and compute the public fields from it."""
+
+    __slots__ = ()
+    _FIELDS: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"{type(self).__name__}({inner})"
+
+
+class NPoint(_Record):
     """Ordered n points in R^d, each tagged with the map point it names.
 
     seq_label is the sequence's position in the uniform odd/even ladder
     (stage-1 sequences at 1, 3, ..., children at averaged labels); level is
     the mating stage; period is the vertex-label period for integer tags.
+    The points are kept as finite ``ProjPoint``s (``proj``), so matings and
+    orbit comparisons run on canonical integer coordinates; ``points`` reads
+    them as affine ``Fraction`` tuples.
     """
 
-    points: tuple[Vec, ...]
-    tags: tuple[object, ...]
-    seq_label: int
-    level: int = 1
-    period: int | None = None
-    cycle: int | None = None
+    __slots__ = ("proj", "tags", "seq_label", "level", "period", "cycle", "_points")
+    _FIELDS = ("points", "tags", "seq_label", "level", "period", "cycle")
 
-    def __post_init__(self):
-        if len(self.points) != len(self.tags):
+    def __init__(self, points, tags, seq_label: int, level: int = 1,
+                 period: int | None = None, cycle: int | None = None):
+        self._set(tuple(ProjPoint.affine(*p) for p in points), tags, seq_label,
+                  level, period, cycle)
+
+    @classmethod
+    def homogeneous(cls, proj: tuple[ProjPoint, ...], tags, seq_label: int,
+                    level: int = 1, period: int | None = None,
+                    cycle: int | None = None) -> "NPoint":
+        """The sequence of the finite points ``proj``, taken as they are."""
+        seq = object.__new__(cls)
+        seq._set(proj, tags, seq_label, level, period, cycle)
+        return seq
+
+    def _set(self, proj, tags, seq_label, level, period, cycle) -> None:
+        if len(proj) != len(tags):
             raise ValueError("points and tags must align")
-        if len(set(self.tags)) != len(self.tags):
+        if len(set(tags)) != len(tags):
             raise ValueError("tags must be pairwise distinct")
+        self.proj = proj
+        self.tags = tags
+        self.seq_label = seq_label
+        self.level = level
+        self.period = period
+        self.cycle = cycle
+        self._points = None
+
+    @property
+    def points(self) -> tuple[Vec, ...]:
+        if self._points is None:
+            self._points = tuple(p.affine_coords() for p in self.proj)
+        return self._points
 
     @property
     def count(self) -> int:
-        return len(self.points)
+        return len(self.proj)
 
     @property
     def d(self) -> int:
-        return len(self.points[0])
-
-
-def _integer_points(points) -> tuple[list[Sequence[int]], int]:
-    """The points times one common denominator D, as integer rows, and D."""
-    d = len(points[0])
-    if any(len(p) != d for p in points):
-        raise ValueError("points of different dimensions")
-    ints, scale = linalg.integer_row([c for p in points for c in p])
-    return [ints[i:i + d] for i in range(0, len(ints), d)], scale
+        return self.proj[0].dim
 
 
 def _differences(rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -117,31 +163,66 @@ def _differences(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return [[x - y for x, y in zip(row, first)] for row in rows[1:]]
 
 
-@dataclass(frozen=True)
-class Joint:
-    """n affinely independent points in R^n, spanning a hyperplane."""
+class Joint(_Record):
+    """n affinely independent points in R^n, spanning a hyperplane.
 
-    points: tuple[Vec, ...]
+    The points are kept as integer rows over their least common denominator
+    (``_rows`` over ``_scale``); ``points`` gives them as ``Fraction`` tuples.
+    """
+
+    __slots__ = ("_rows", "_scale")
+    _FIELDS = ("points",)
+
+    def __init__(self, points):
+        points = [tuple(p) for p in points]
+        ints, scale = linalg.integer_row([c for p in points for c in p])
+        rows, start = [], 0
+        for p in points:
+            rows.append(ints[start:start + len(p)])
+            start += len(p)
+        self._set(rows, scale)
+
+    @classmethod
+    def _of_ints(cls, rows: Sequence[Sequence[int]], scale: int) -> "Joint":
+        """The points rows / scale (scale > 0), validated as ``of`` does."""
+        joint = object.__new__(cls)
+        joint._set(rows, scale)
+        return joint._checked()
+
+    def _set(self, rows, scale: int) -> None:
+        g = gcd(scale, *(x for row in rows for x in row))
+        self._rows = tuple(tuple(row) if g == 1 else tuple(x // g for x in row)
+                           for row in rows)
+        self._scale = scale // g
 
     @classmethod
     def of(cls, points) -> "Joint":
-        points = tuple(tuple(Fraction(c) for c in p) for p in points)
-        n = len(points)
-        if n < 2 or any(len(p) != n for p in points):
+        return cls(points)._checked()
+
+    def _checked(self) -> "Joint":
+        rows = self._rows
+        n = len(rows)
+        if n < 2 or any(len(row) != n for row in rows):
             raise NotAJoint("a joint needs n points in R^n")
-        if linalg.rank(_differences(_integer_points(points)[0])) != n - 1:
+        if linalg.rank(_differences(rows)) != n - 1:
             raise NotAJoint("points are affinely dependent")
-        return cls(points)
+        return self
+
+    @property
+    def points(self) -> tuple[Vec, ...]:
+        scale = self._scale
+        return tuple(tuple(Fraction(x, scale) for x in row) for row in self._rows)
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self._rows)
+
+    def _centroid_point(self) -> ProjPoint:
+        """The centroid as a projective point: column sums over n * scale."""
+        return ProjPoint((*map(sum, zip(*self._rows)), self.n * self._scale))
 
     def centroid(self) -> Vec:
-        n = self.n
-        return tuple(
-            Fraction(sum(p[i] for p in self.points), n) for i in range(n)
-        )
+        return self._centroid_point().affine_coords()
 
 
 def hyperplane_normal(J: Joint) -> Vec:
@@ -151,8 +232,7 @@ def hyperplane_normal(J: Joint) -> Vec:
     minor of the integer difference matrix with column c removed, over
     D^(n-1); the result is exactly orthogonal to every difference vector.
     """
-    rows, scale = _integer_points(J.points)
-    diffs = _differences(rows)
+    diffs = _differences(J._rows)
     n = J.n
     # the determinant of integer rows is a whole number
     cofactors = [
@@ -164,7 +244,7 @@ def hyperplane_normal(J: Joint) -> Vec:
         raise NotAJoint("degenerate joint has no normal")
     if any(sum(x * y for x, y in zip(cofactors, d)) for d in diffs):
         raise NonOrthogonalNormal("cofactor normal is not orthogonal to the joint")
-    den = scale ** (n - 1)
+    den = J._scale ** (n - 1)
     return tuple(Fraction(x, den) for x in cofactors)
 
 
@@ -274,7 +354,14 @@ class AffineFlat:
         return self._eqs
 
     def contains(self, point: Sequence[Fraction]) -> bool:
-        ints, scale = linalg.integer_row(tuple(point))
+        return self._holds(*linalg.integer_row(tuple(point)))
+
+    def _holds_point(self, p: ProjPoint) -> bool:
+        """contains() for the finite point p, read off its coordinates."""
+        return self._holds(p.coords[:-1], p.coords[-1])
+
+    def _holds(self, ints: Sequence[int], scale: int) -> bool:
+        """contains() for the point ints / scale."""
         return all(
             sum(a * x for a, x in zip(eq[:-1], ints, strict=True)) == eq[-1] * scale
             for eq in self._equation_rows()
@@ -327,22 +414,37 @@ def _combination(coeffs: Sequence[int], rows, start: list[int]) -> list[int]:
 
 
 def joint_flat(J: Joint) -> AffineFlat:
-    return AffineFlat.from_points(J.points)
+    rows = J._rows
+    return AffineFlat._canonical(rows[0], J._scale, _differences(rows))
 
 
-@dataclass(frozen=True)
-class Prism:
-    """n distinct parallel lines in R^n, in position order."""
+class Prism(_Record):
+    """n distinct parallel lines in R^n, in position order.
 
-    bases: tuple[Vec, ...]
-    direction: Vec
+    Line l runs through base point l of a joint along one direction; both
+    are kept in integer form (the joint, and an integer row over a scale).
+    ``bases`` and ``direction`` give them as ``Fraction`` tuples.
+    """
+
+    __slots__ = ("_joint", "_direction", "_direction_scale")
+    _FIELDS = ("bases", "direction")
+
+    def __init__(self, bases, direction):
+        self._set(Joint(bases), *linalg.integer_row(tuple(direction)))
+
+    def _set(self, joint: Joint, direction: Sequence[int], scale: int) -> None:
+        self._joint = joint
+        self._direction = direction
+        self._direction_scale = scale
 
     @classmethod
     def between(cls, J1: Joint, J2: Joint) -> "Prism":
-        n = len(J1.points)
-        rows, _ = _integer_points(J1.points + J2.points)
-        bases = rows[:n]
-        dirs = [[y - x for x, y in zip(a, b)] for a, b in zip(bases, rows[n:])]
+        n = J1.n
+        s1, s2 = J1._scale, J2._scale
+        scale = lcm(s1, s2)
+        f1, f2 = scale // s1, scale // s2
+        bases = J1._rows if f1 == 1 else [[x * f1 for x in a] for a in J1._rows]
+        dirs = [[y * f2 - x for x, y in zip(a, b)] for a, b in zip(bases, J2._rows)]
         if not all(any(d) for d in dirs):
             raise DegenerateSpan("coincident points give no prism line")
         first = dirs[0]
@@ -358,14 +460,27 @@ class Prism:
             i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
                         if keys[i] == keys[j])
             raise DegenerateSpan(f"prism lines {i} and {j} coincide")
-        return cls(J1.points, tuple(Fraction(x, lead) for x in first))
+        prism = object.__new__(cls)
+        prism._set(J1, first, lead)
+        return prism
+
+    @property
+    def bases(self) -> tuple[Vec, ...]:
+        return self._joint.points
+
+    @property
+    def direction(self) -> Vec:
+        scale = self._direction_scale
+        return tuple(Fraction(x, scale) for x in self._direction)
 
     @property
     def n(self) -> int:
-        return len(self.bases)
+        return self._joint.n
 
     def lines(self) -> tuple[AffineFlat, ...]:
-        return tuple(AffineFlat.of(b, (self.direction,)) for b in self.bases)
+        joint, direction = self._joint, [self._direction]
+        return tuple(AffineFlat._canonical(row, joint._scale, direction)
+                     for row in joint._rows)
 
 
 @dataclass(frozen=True)
@@ -401,8 +516,11 @@ class Polyjoint:
 # A-sequences
 
 
-def _affine(p: ProjPoint) -> Vec:
-    return p.affine_coords()
+def _finite(p: ProjPoint) -> ProjPoint:
+    """p itself; a point at infinity raises as ``affine_coords`` does."""
+    if not p.coords[-1]:
+        raise InfiniteVertex(f"{p} has no affine coordinates")
+    return p
 
 
 def build_A_sequences(P, variant: str) -> tuple[NPoint, ...]:
@@ -441,9 +559,9 @@ def _numeric_sequences(label_map, m: int, n: int) -> tuple[NPoint, ...]:
     out = []
     for j in range(n - 1):
         tags = tuple(j * m + 1 + m * m * t for t in range(n))
-        points = tuple(_affine(label_map[tag % period]) for tag in tags)
+        points = tuple(_finite(label_map[tag % period]) for tag in tags)
         out.append(
-            NPoint(points, tags, seq_label=2 * j + 1, level=1, period=period)
+            NPoint.homogeneous(points, tags, seq_label=2 * j + 1, level=1, period=period)
         )
     return tuple(out)
 
@@ -452,13 +570,13 @@ def _mirror_sequence(pair: MirrorPair, j: int) -> NPoint:
     n = pair.n
     tags = tuple(((j - 1 + t) % n + 1, t % 2 == 1) for t in range(n))
     points = tuple(_mirror_point(pair, tag) for tag in tags)
-    return NPoint(points, tags, seq_label=2 * j - 1, level=1, cycle=n)
+    return NPoint.homogeneous(points, tags, seq_label=2 * j - 1, level=1, cycle=n)
 
 
-def _mirror_point(pair: MirrorPair, tag: MirrorTag) -> Vec:
+def _mirror_point(pair: MirrorPair, tag: MirrorTag) -> ProjPoint:
     idx, primed = tag
     p = pair.points[idx - 1]
-    return _affine(reflect_r(p) if primed else p)
+    return _finite(reflect_r(p) if primed else p)
 
 
 # ---------------------------------------------------------------------------
@@ -502,11 +620,18 @@ def parallel_lift(seqs: Sequence[NPoint], heights) -> Polyjoint:
     heights = tuple(tuple(Fraction(c) for c in row) for row in heights)
     if len(heights) != n or any(len(row) != n - d for row in heights):
         raise DimensionMismatch(f"heights must be {n} rows of {n - d} entries")
+    # the heights as integer rows over one denominator
+    flat, height_scale = linalg.integer_row([c for row in heights for c in row])
+    lifts = [flat[l * (n - d):(l + 1) * (n - d)] for l in range(n)]
     joints = []
     for s in seqs:
-        lifted = tuple(p + row for p, row in zip(s.points, heights))
+        # point l is (x : w) lifted by heights row l, all over the lcm of the w's
+        scale = lcm(height_scale, *(p.coords[-1] for p in s.proj))
+        f = scale // height_scale
+        rows = [[x * (scale // p.coords[-1]) for x in p.coords[:-1]] + [f * h for h in lift]
+                for p, lift in zip(s.proj, lifts)]
         try:
-            joints.append(Joint.of(lifted))
+            joints.append(Joint._of_ints(rows, scale))
         except NotAJoint as exc:
             raise NotAJoint(f"sequence {s.seq_label}: {exc}") from exc
     prisms = []
@@ -554,12 +679,12 @@ class CentroidReport:
 def centroid_coincidence_check(pj: Polyjoint, expected: ProjPoint) -> CentroidReport:
     """All joint centroids must agree exactly and project onto the expected
     point (heights contribute identically to every centroid)."""
-    centroids = [J.centroid() for J in pj.joints]
+    centroids = [J._centroid_point() for J in pj.joints]
     coincide = all(c == centroids[0] for c in centroids)
     expected_vec = expected.affine_coords()
     if len(expected_vec) != pj.d:
         raise DimensionMismatch("expected point has the wrong dimension")
-    centroid = centroids[0] if coincide else None
+    centroid = centroids[0].affine_coords() if coincide else None
     projected = centroid[: pj.d] if coincide else None
     return CentroidReport(
         coincide=coincide,
@@ -574,25 +699,49 @@ def centroid_coincidence_check(pj: Polyjoint, expected: ProjPoint) -> CentroidRe
 # mating
 
 
+_NO_SINGLE_MEET = "parallel or identical lines have no single meet"
+
+
 def line_meet(p0: Vec, p1: Vec, q0: Vec, q1: Vec) -> Vec:
     """Meet of lines p0p1 and q0q1 in R^d (the lines must be coplanar)."""
-    (a0, a1, b0, b1), scale = _integer_points((p0, p1, q0, q1))
-    if a0 == a1 or b0 == b1:
+    return _meet(*(ProjPoint.affine(*p) for p in (p0, p1, q0, q1))).affine_coords()
+
+
+def _meet(p0: ProjPoint, p1: ProjPoint, q0: ProjPoint, q1: ProjPoint) -> ProjPoint:
+    """The finite meet of lines p0p1 and q0q1 through finite points of P^d.
+
+    In P^2 the meet is (p0 x p1) x (q0 x q1).  In P^d an integer kernel row
+    (lam, mu, ...) of the columns p0, p1, -q0, -q1 gives it as
+    lam p0 + mu p1; the kernel is empty for skew lines.  Identical lines
+    (a zero cross product, or a kernel of dimension two) and parallel lines
+    (a meet with w = 0) have no single finite meet.
+    """
+    a, b, c, e = p0.coords, p1.coords, q0.coords, q1.coords
+    size = len(a)
+    if len(b) != size or len(c) != size or len(e) != size:
+        raise ValueError("points of different dimensions")
+    if a == b or c == e:
         raise DegenerateJoin("cannot join coincident points")
-    u = [y - x for x, y in zip(a0, a1)]
-    v = [y - x for x, y in zip(b0, b1)]
-    # p0 + t u = q0 + s v: one elimination decides meet, skew and parallel
-    space = linalg.integer_solution_space(
-        [[x, -y, z - w] for x, y, z, w in zip(u, v, b0, a0)], 2
-    )
-    if space is None and linalg.rank([u, v]) == 2:
-        raise NonCoplanarDiagonals("lines are skew")
-    if space is None or space[2]:
-        raise DegenerateMeet("parallel or identical lines have no single meet")
-    num, den, _ = space
-    t = num[0]
-    scale *= den
-    return tuple(Fraction(x * den + t * y, scale) for x, y in zip(a0, u))
+    if size == 3:
+        a0, a1, a2 = a
+        b0, b1, b2 = b
+        c0, c1, c2 = c
+        e0, e1, e2 = e
+        l0, l1, l2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+        m0, m1, m2 = c1 * e2 - c2 * e1, c2 * e0 - c0 * e2, c0 * e1 - c1 * e0
+        meet = (l1 * m2 - l2 * m1, l2 * m0 - l0 * m2, l0 * m1 - l1 * m0)
+    else:
+        system = [[x, y, -z, -t] for x, y, z, t in zip(a, b, c, e)]
+        kernel = linalg.integer_kernel(*linalg.integer_echelon(system, 4), 4)
+        if not kernel:
+            raise NonCoplanarDiagonals("lines are skew")
+        if len(kernel) > 1:
+            raise DegenerateMeet(_NO_SINGLE_MEET)
+        (lam, mu, _, _), _ = kernel[0]
+        meet = tuple(lam * x + mu * y for x, y in zip(a, b))
+    if not meet[-1]:
+        raise DegenerateMeet(_NO_SINGLE_MEET)
+    return ProjPoint(meet)
 
 
 def _child_tag(X: NPoint, slot: int) -> object:
@@ -613,14 +762,13 @@ def _mate(X: NPoint, Y: NPoint, slots: int) -> NPoint:
     if X.period != Y.period or X.cycle != Y.cycle:
         raise DimensionMismatch("mixed tag vocabularies")
     L = X.count
+    xs, ys = X.proj, Y.proj
     points = []
     tags = []
     for t in range(slots):
         t1 = (t + 1) % L
         try:
-            points.append(
-                line_meet(X.points[t], X.points[t1], Y.points[t], Y.points[t1])
-            )
+            points.append(_meet(xs[t], xs[t1], ys[t], ys[t1]))
         except (DegenerateJoin, DegenerateMeet, NonCoplanarDiagonals) as exc:
             raise type(exc)(f"slot {t}: {exc}") from exc
         if X.period is not None:
@@ -634,8 +782,8 @@ def _mate(X: NPoint, Y: NPoint, slots: int) -> NPoint:
             tags.append(total // 4)
         else:
             tags.append(_child_tag(X, t))
-    return NPoint(
-        points=tuple(points),
+    return NPoint.homogeneous(
+        proj=tuple(points),
         tags=tuple(tags),
         seq_label=(X.seq_label + Y.seq_label) // 2,
         level=X.level + 1,
@@ -685,9 +833,9 @@ class _OrbitContext:
             self._maps = [poly.label_map() for poly in states]
             self.period = states[0].label_period
 
-    def tag_point(self, stage: int, tag) -> Vec:
+    def tag_point(self, stage: int, tag) -> ProjPoint:
         if self.period is not None:
-            return _affine(self._maps[stage - 1][tag % self.period])
+            return _finite(self._maps[stage - 1][tag % self.period])
         return _mirror_point(self._pairs[stage - 1], tag)
 
     def full_tag_union(self, stage: int) -> set:
@@ -766,9 +914,9 @@ def _check_stage(ctx: _OrbitContext, stage_seqs: Sequence[NPoint], stage: int,
     for s in stage_seqs:
         if s.tags != _expected_tags(ctx, s.seq_label, stage, s.count):
             labels_ok = False
-        for tag, point in zip(s.tags, s.points):
+        for tag, point in zip(s.tags, s.proj):
             union.add(ctx.reduce(tag))
-            if point != ctx.tag_point(stage, tag):
+            if point.coords != ctx.tag_point(stage, tag).coords:
                 tags_ok = False
     if not expect_union:
         union_ok = True
@@ -825,8 +973,8 @@ def _mating_orbit(ctx: _OrbitContext, seqs: Sequence[NPoint],
     unions: list[set] | None = [set() for _ in range(n - 1)] if full else None
     for l in windows:
         window = [
-            NPoint(
-                points=seqs[(l - 1 + u) % n].points,
+            NPoint.homogeneous(
+                proj=seqs[(l - 1 + u) % n].proj,
                 tags=seqs[(l - 1 + u) % n].tags,
                 seq_label=2 * (l + u) - 1,
                 level=1,
@@ -1149,15 +1297,14 @@ def collapse_line_check(P, pj: Polyjoint) -> CollapseLineReport:
         final = _run_chain(list(seqs[: n - 1]), star)[-1][0]
     else:
         final = _run_chain(seqs, mating)[-1][0]
-    return _collapse_line(P, variant, pj, line, final)
+    return _collapse_line(pj, line, final, expected_projected_centroid(P, variant))
 
 
-def _collapse_line(P, variant: str, pj: Polyjoint, line: AffineFlat,
-                   final: NPoint) -> CollapseLineReport:
+def _collapse_line(pj: Polyjoint, line: AffineFlat, final: NPoint,
+                   expected: ProjPoint) -> CollapseLineReport:
     projected = line.project(pj.d)
-    expected = expected_projected_centroid(P, variant)
-    points_on = all(projected.contains(p) for p in final.points)
-    centroid_on = projected.contains(expected.affine_coords())
+    points_on = all(projected._holds_point(p) for p in final.proj)
+    centroid_on = projected._holds_point(_finite(expected))
     return CollapseLineReport(
         line=line,
         projected=projected,
@@ -1253,7 +1400,8 @@ def lift_report(P, variant: str | None = None, seed: int = 0,
         LiftCheck("L2.2", general, f"normal rank {normal_rank} of {len(normals)}"),
     ]
 
-    centroid = centroid_coincidence_check(pj, expected_projected_centroid(P, variant))
+    expected = expected_projected_centroid(P, variant)
+    centroid = centroid_coincidence_check(pj, expected)
     checks.append(
         LiftCheck(
             "L2.3",
@@ -1294,7 +1442,7 @@ def lift_report(P, variant: str | None = None, seed: int = 0,
         LiftCheck("L2.7", orbit.ok, "mating chain matches the map orbit")
     )
 
-    collapse = _collapse_line(P, variant, pj, tables.H(n - 1, n - 1), final)
+    collapse = _collapse_line(pj, tables.H(n - 1, n - 1), final, expected)
     checks.append(
         LiftCheck(
             "L2.8", collapse.ok,

@@ -14,11 +14,12 @@ Callers that keep their own data in ints use the integer interface, whose
 rows must already be ints: it enters the elimination loop directly, with no
 scan for fractions and no conversion.  ``integer_echelon`` gives the reduced
 echelon rows as primitive integer rows, ``integer_kernel`` the kernel rows
-read off echelon rows, and ``integer_solution_space`` the solutions of an
+read off echelon rows, ``integer_solution_space`` the solutions of an
 augmented system as numerators over one denominator plus integer kernel
-rows; ``solution_space`` and ``nullspace`` clear denominators and then run
-the same steps.  Matrices are lists of row lists; the sizes that occur in
-this package are tiny (at most eight or so columns).
+rows, and ``integer_det`` the Bareiss determinant; ``solution_space``,
+``nullspace`` and ``det`` clear denominators and then run the same steps.
+Matrices are lists of row lists; the sizes that occur in this package are
+tiny (at most eight or so columns).
 """
 
 from __future__ import annotations
@@ -205,19 +206,27 @@ def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vec | 
 
 
 def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant by Bareiss elimination: every division is exact."""
-    n = len(rows)
+    """Determinant: the rows cleared of their denominators, then
+    ``integer_det``, over the product of the row scales."""
     m = []
     scale = 1
     for row in rows:
         ints, row_scale = integer_row(row)
         m.append(ints)
         scale *= row_scale
+    return Fraction(integer_det(m), scale)
+
+
+def integer_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of integer rows by Bareiss elimination: every division is
+    exact."""
+    m = list(rows)
+    n = len(m)
     sign, prev = 1, 1
     for c in range(n):
         pivot = next((i for i in range(c, n) if m[i][c]), None)
         if pivot is None:
-            return Fraction(0)
+            return 0
         if pivot != c:
             m[c], m[pivot] = m[pivot], m[c]
             sign = -sign
@@ -227,7 +236,7 @@ def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
             a = m[i][c]
             m[i] = [(p * x - a * y) // prev for x, y in zip(m[i], top)]
         prev = p
-    return Fraction(sign * prev, scale)
+    return sign * prev
 
 
 def in_span(vectors: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> bool:

@@ -21,7 +21,10 @@ the content with one ``gcd`` and no ``Fraction``.  Coplanar meets in P^m
 eliminate over ints too (``linalg.integer_echelon``), ``affine_mean``
 averages over the lcm of the homogenizing coordinates, and the printed forms
 (``format_p1``, ``format_ratio``) are read from the canonical ints.  Only
-the affine, P^1 and cross-ratio read-outs return ``Fraction`` values.
+the affine, P^1 and cross-ratio read-outs return ``Fraction`` values;
+``is_harmonic4`` and ``is_harmonic6`` decide a cross ratio of -1 on its
+integer numerator and denominator, and projective maps invert through an
+integer adjugate.
 
 Every printed integer goes through ``int_text``, which writes a value past
 Python's int-to-string digit limit in chunks under the limit, so an exact
@@ -390,28 +393,46 @@ def _det2(p: ProjPoint, q: ProjPoint) -> int:
     return p.coords[0] * q.coords[1] - p.coords[1] * q.coords[0]
 
 
+def _cross_ratio_terms(points: Sequence[ProjPoint], name: str) -> tuple[int, int]:
+    """The integer numerator and denominator of the cross ratio of 2k points
+    of the projective line: the products of [x_0, x_1], [x_2, x_3], ... and
+    of [x_1, x_2], [x_3, x_4], ..., [x_(2k-1), x_0].  Raises
+    IndeterminateCrossRatio, naming the ratio, when both vanish."""
+    _need_dim(1, *points)
+    k = len(points)
+    num = den = 1
+    for i in range(0, k, 2):
+        num *= _det2(points[i], points[i + 1])
+        den *= _det2(points[i + 1], points[(i + 2) % k])
+    if num == 0 and den == 0:
+        raise IndeterminateCrossRatio(f"{name} of the form 0/0")
+    return num, den
+
+
 def cross_ratio4(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint):
     """[a, b, c, d] = (a-b)(c-d) / ((b-c)(d-a)) on the projective line."""
-    _need_dim(1, a, b, c, d)
-    num = _det2(a, b) * _det2(c, d)
-    den = _det2(b, c) * _det2(d, a)
-    if den == 0:
-        if num == 0:
-            raise IndeterminateCrossRatio("cross ratio of the form 0/0")
-        return INF
-    return Fraction(num, den)
+    num, den = _cross_ratio_terms((a, b, c, d), "cross ratio")
+    return INF if den == 0 else Fraction(num, den)
 
 
 def cross_ratio6(a, b, c, d, e, f):
     """[a, b, c, d, e, f] = (a-b)(c-d)(e-f) / ((b-c)(d-e)(f-a))."""
-    _need_dim(1, a, b, c, d, e, f)
-    num = _det2(a, b) * _det2(c, d) * _det2(e, f)
-    den = _det2(b, c) * _det2(d, e) * _det2(f, a)
-    if den == 0:
-        if num == 0:
-            raise IndeterminateCrossRatio("six-point cross ratio of the form 0/0")
-        return INF
-    return Fraction(num, den)
+    num, den = _cross_ratio_terms((a, b, c, d, e, f), "six-point cross ratio")
+    return INF if den == 0 else Fraction(num, den)
+
+
+def is_harmonic4(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint) -> bool:
+    """cross_ratio4(a, b, c, d) == -1, decided on the integer terms as
+    num == -den: a ratio at infinity (den = 0, num != 0) is not -1, and 0/0
+    raises IndeterminateCrossRatio as cross_ratio4 does."""
+    num, den = _cross_ratio_terms((a, b, c, d), "cross ratio")
+    return num == -den
+
+
+def is_harmonic6(a, b, c, d, e, f) -> bool:
+    """cross_ratio6(a, b, c, d, e, f) == -1, decided as ``is_harmonic4`` does."""
+    num, den = _cross_ratio_terms((a, b, c, d, e, f), "six-point cross ratio")
+    return num == -den
 
 
 def solve_harmonic4(a: ProjPoint, b: ProjPoint, d: ProjPoint) -> ProjPoint:
@@ -494,7 +515,7 @@ class ProjMap:
             raise DimensionMismatch("projective maps need a square matrix of size >= 2")
         flat = _canonical_ints([x for row in rows for x in row])
         matrix = tuple(tuple(flat[i * size + j] for j in range(size)) for i in range(size))
-        if linalg.det(matrix) == 0:
+        if linalg.integer_det(matrix) == 0:
             raise ValueError("projective map matrix must be invertible")
         self.matrix = matrix
 
@@ -521,9 +542,10 @@ class ProjMap:
         return f"ProjMap{self.matrix!r}"
 
 
-def _adjugate(matrix: Sequence[Sequence[int]]) -> list[list[Fraction]]:
+def _adjugate(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The integer adjugate: out[j][i] is the (i, j) cofactor."""
     n = len(matrix)
-    out = [[Fraction(0)] * n for _ in range(n)]
+    out = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             minor = [
@@ -532,7 +554,7 @@ def _adjugate(matrix: Sequence[Sequence[int]]) -> list[list[Fraction]]:
                 if r != i
             ]
             sign = -1 if (i + j) % 2 else 1
-            out[j][i] = sign * linalg.det(minor)
+            out[j][i] = sign * linalg.integer_det(minor)
     return out
 
 
@@ -560,18 +582,20 @@ def axes_normalization_map(p: ProjPoint, q: ProjPoint) -> ProjMap:
         third = [1 if i == k else 0 for i in range(3)]
         cols = [list(p.coords), list(q.coords), third]
         matrix = [[cols[j][i] for j in range(3)] for i in range(3)]
-        if linalg.det(matrix) != 0:
+        if linalg.integer_det(matrix) != 0:
             return ProjMap(_adjugate(matrix))
     raise DegenerateJoin("could not complete a projective basis")  # pragma: no cover
 
 
 def mobius_to_infinity(a: ProjPoint) -> ProjMap:
-    """A Moebius map of the line sending a to infinity (x -> 1/(x - a))."""
+    """A Moebius map of the line sending a to infinity (x -> 1/(x - a)).
+
+    With a = (x : w), w != 0, that is the integer matrix [[0, w], [w, -x]]."""
     _need_dim(1, a)
     if a == P1_INFINITY:
         return identity_map(1)
-    value = a.p1_value()
-    return ProjMap([[0, 1], [1, -value]])
+    x, w = a.coords
+    return ProjMap([[0, w], [w, -x]])
 
 
 def random_projective_map(dim: int, rng, bound: int = 9) -> ProjMap:
@@ -579,5 +603,5 @@ def random_projective_map(dim: int, rng, bound: int = 9) -> ProjMap:
     n = dim + 1
     while True:
         rows = [[rng.below(2 * bound + 1) - bound for _ in range(n)] for _ in range(n)]
-        if linalg.det(rows) != 0:
+        if linalg.integer_det(rows) != 0:
             return ProjMap(rows)

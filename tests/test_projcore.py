@@ -13,13 +13,18 @@ from pentagram_lab.errors import (
     NonCoplanarDiagonals,
     ZeroDenominator,
 )
+from pentagram_lab import projcore
 from pentagram_lab.projcore import (
     INF,
     P1_INFINITY,
+    ProjMap,
     ProjPoint,
+    axes_normalization_map,
     cross_ratio4,
     cross_ratio6,
     format_rational,
+    is_harmonic4,
+    is_harmonic6,
     join_points,
     meet_coplanar_lines,
     meet_lines,
@@ -269,6 +274,96 @@ def test_mobius_to_infinity_sends_target():
     phi = mobius_to_infinity(q(4))
     assert phi.apply(q(4)) == P1_INFINITY
     assert phi.inverse().apply(P1_INFINITY) == q(4)
+
+
+# a small pool of line points, so that repeats, 0/0 and infinite ratios occur
+line_points = st.sampled_from(
+    [(1, 0), (0, 1), (1, 1), (-1, 1), (2, 1), (1, 2), (-3, 2), (5, -3)]
+).map(ProjPoint)
+
+
+def _harmonic_by_value(ratio, *points):
+    """(cross ratio == -1) through the Fraction value, or the error it raises."""
+    try:
+        return ratio(*points) == Fraction(-1)
+    except IndeterminateCrossRatio as exc:
+        return IndeterminateCrossRatio, str(exc)
+
+
+def _harmonic_by_terms(test, *points):
+    try:
+        return test(*points)
+    except IndeterminateCrossRatio as exc:
+        return IndeterminateCrossRatio, str(exc)
+
+
+@settings(max_examples=400)
+@given(st.lists(line_points, min_size=6, max_size=6))
+def test_integer_harmonic_tests_match_cross_ratios(points):
+    assert _harmonic_by_terms(is_harmonic4, *points[:4]) == _harmonic_by_value(
+        cross_ratio4, *points[:4])
+    assert _harmonic_by_terms(is_harmonic6, *points) == _harmonic_by_value(
+        cross_ratio6, *points)
+
+
+def test_integer_harmonic_tests_cover_every_case():
+    # -1, another value, infinity (den = 0) and 0/0, in both arities
+    assert is_harmonic4(P1_INFINITY, q(1), q(2), q(3))
+    assert not is_harmonic4(q(0), q(1), q(2), q(3))
+    assert cross_ratio4(q(0), q(2), q(2), q(3)) is INF
+    assert not is_harmonic4(q(0), q(2), q(2), q(3))
+    with pytest.raises(IndeterminateCrossRatio, match=r"^cross ratio of the form 0/0$"):
+        is_harmonic4(q(1), q(1), q(1), q(2))
+    six = (q(0), q(1), q(2), q(3), q(4), q(5))
+    assert is_harmonic6(*six) is (cross_ratio6(*six) == -1)
+    assert not is_harmonic6(q(0), q(1), q(1), q(3), q(4), q(5))
+    with pytest.raises(IndeterminateCrossRatio,
+                       match=r"^six-point cross ratio of the form 0/0$"):
+        is_harmonic6(q(1), q(1), q(1), q(1), q(4), q(5))
+    with pytest.raises(DimensionMismatch):
+        is_harmonic4(q(0), q(1), q(2), ProjPoint.affine(1, 1))
+
+
+def _fraction_inverse(matrix):
+    """The inverse by Gauss-Jordan over Fraction, with no library code."""
+    n = len(matrix)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(matrix)]
+    for c in range(n):
+        pivot = next(i for i in range(c, n) if m[i][c])
+        m[c], m[pivot] = m[pivot], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for i in range(n):
+            if i != c and m[i][c]:
+                m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[c])]
+    return [row[n:] for row in m]
+
+
+@settings(max_examples=100)
+@given(st.integers(2, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_integer_adjugate_gives_the_inverse_map(rows):
+    phi = ProjMap(rows) if projcore.linalg.integer_det(rows) else None
+    if phi is None:
+        return
+    adjugate = projcore._adjugate(phi.matrix)
+    assert all(type(x) is int for row in adjugate for x in row)
+    assert phi.inverse() == ProjMap(_fraction_inverse(phi.matrix))
+
+
+def test_integer_normalization_maps_keep_their_matrices():
+    # the maps as the Fraction cofactors and the Fraction value of a gave them
+    for value in (Fraction(4), Fraction(-3, 7), Fraction(5, -2), Fraction(0)):
+        a = ProjPoint.p1(value)
+        assert mobius_to_infinity(a) == ProjMap([[0, 1], [1, -value]])
+        assert mobius_to_infinity(a).apply(a) == P1_INFINITY
+    p, r = ProjPoint.affine(1, 2), ProjPoint((3, -1, 0))
+    phi = axes_normalization_map(p, r)
+    # the completion is the first basis vector, e_0, so phi inverts [p | r | e_0]
+    assert phi.matrix == ((0, 0, 1), (0, -1, 2), (1, 3, -7))
+    assert phi.inverse() == ProjMap([[1, 3, 1], [2, -1, 0], [1, 0, 0]])
+    assert phi.apply(p) == ProjPoint((1, 0, 0)) and phi.apply(r) == ProjPoint((0, 1, 0))
 
 
 # --- orbits -------------------------------------------------------------------
