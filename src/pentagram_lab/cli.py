@@ -48,7 +48,7 @@ from .frieze import (
     render_staggered,
     row_from_values,
 )
-from .lifting import _infer_variant, lift_report, mating_orbit_check
+from .lifting import lift_report, mating_orbit_check
 from .lower1d import (
     AxisAlignedPair1,
     PairState1D,
@@ -334,7 +334,7 @@ def _check_T008(pair: AxisAlignedPair1):
 
 
 def _check_mating(P):
-    rep = mating_orbit_check(P, _infer_variant(P))
+    rep = mating_orbit_check(P)
     values = {"stages": rep.stages, "variant": rep.variant}
     return _verdict(values, (rep.ok, "a mating stage disagreed with the map orbit"))
 

@@ -56,6 +56,15 @@ class FriezePattern:
         return (base + 2 * entry_index - 1) % (2 * self.n) + 1
 
 
+def _flanks(current: Row, current_parity: int):
+    """The (left, right) flanks of each entry one row below ``current``:
+    current[j] and current[j+1] when the current row sits at odd columns,
+    current[j-1] and current[j] when it sits at even ones."""
+    if current_parity % 2 == 1:
+        return zip(current, current[1:] + current[:1])
+    return zip(current[-1:] + current[:-1], current)
+
+
 def next_row(above: Row, current: Row, current_parity: int,
              chain: Row | None = None, closing: bool = False) -> Row:
     """Solve every diamond one row down.
@@ -75,11 +84,7 @@ def next_row(above: Row, current: Row, current_parity: int,
     """
     n = len(current)
     out = []
-    for j in range(n):
-        if current_parity % 2 == 1:
-            left, right = current[j], current[(j + 1) % n]
-        else:
-            left, right = current[(j - 1) % n], current[j]
+    for j, (left, right) in enumerate(_flanks(current, current_parity)):
         try:
             out.append(solve_harmonic4(above[j], left, right))
         except ZeroDenominator as exc:
@@ -229,14 +234,9 @@ def diamond_soundness(pattern: FriezePattern) -> bool:
     diamond must come out exactly -1.
     """
     rows = pattern.rows
-    n = pattern.n
     for p in range(2, len(rows)):
         above, current, produced = rows[p - 2], rows[p - 1], rows[p]
-        for j in range(n):
-            if p % 2 == 0:
-                left, right = current[j], current[(j + 1) % n]
-            else:
-                left, right = current[(j - 1) % n], current[j]
+        for j, (left, right) in enumerate(_flanks(current, p - 1)):
             try:
                 harmonic = is_harmonic4(above[j], left, produced[j], right)
             except IndeterminateCrossRatio:

@@ -48,14 +48,13 @@ from operator import mul
 from typing import Mapping, Sequence
 
 from . import linalg
-from .corrugated import AxisAlignedM, center_of_mass_m, corrugated_step
+from .corrugated import AxisAlignedM, corrugated_step
 from .errors import (
     DegenerateJoin,
     DegenerateMeet,
     DegenerateSpan,
     DimensionMismatch,
     InconsistentTags,
-    InfiniteVertex,
     NonCoplanarDiagonals,
     NonOrthogonalNormal,
     NonTransverse,
@@ -64,13 +63,11 @@ from .errors import (
 )
 from .linalg import Vec
 from .mirror import AxisAlignedMirrorPair, MirrorPair, mp_step
-from .pentagram2d import AxisAligned2, center_of_mass_affine, pentagram_step
-from .projcore import ProjPoint, reflect_r
+from .pentagram2d import AxisAligned2, pentagram_step
+from .projcore import ProjPoint, affine_mean, reflect_r
 from .rng import SplitMix64
 
 MirrorTag = tuple[int, bool]
-
-VARIANTS = ("planar", "corrugated", "mirror_even", "mirror_odd")
 
 
 # ---------------------------------------------------------------------------
@@ -516,14 +513,32 @@ class Polyjoint:
 # A-sequences
 
 
-def _finite(p: ProjPoint) -> ProjPoint:
-    """p itself; a point at infinity raises as ``affine_coords`` does."""
-    if not p.coords[-1]:
-        raise InfiniteVertex(f"{p} has no affine coordinates")
-    return p
+def _variant(P):
+    """(name, start, step, m) of P's map: the variant name reports carry,
+    the starting polygon or pair, the map step (looked up in the module on
+    each call, so a rebound step is the one run), and the label step of
+    vertex-label tags, None for mirror tags."""
+    if isinstance(P, AxisAligned2):
+        return "planar", P.underlying, pentagram_step, 2
+    if isinstance(P, AxisAlignedM):
+        return "corrugated", P.underlying, corrugated_step, P.m
+    pair = P.underlying if isinstance(P, AxisAlignedMirrorPair) else P
+    if isinstance(pair, MirrorPair):
+        name = "mirror_even" if pair.n % 2 == 0 else "mirror_odd"
+        return name, pair, mp_step, None
+    raise VariantMismatch(f"no variant for {type(P).__name__}")
 
 
-def build_A_sequences(P, variant: str) -> tuple[NPoint, ...]:
+def _lift_chain(variant: str, seqs: tuple[NPoint, ...]):
+    """The sequences a lift raises and the mating that chains them to the
+    stage L2.8 reads: the odd mirror lifts its first n-1 and star-mates them
+    (its wraparound meet is undefined); the others use all, fully mated."""
+    if variant == "mirror_odd":
+        return seqs[:-1], star
+    return seqs, mating
+
+
+def build_A_sequences(P) -> tuple[NPoint, ...]:
     """The stage-1 tagged sequences whose matings reproduce the map orbit.
 
     planar        n-1 sequences over the 2n-gon's vertex labels, step 4
@@ -532,26 +547,11 @@ def build_A_sequences(P, variant: str) -> tuple[NPoint, ...]:
     mirror_odd    all n alternating sequences (star-mating windows draw
                   cyclically consecutive blocks of n-1 of them)
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if variant == "planar":
-        if not isinstance(P, AxisAligned2):
-            raise VariantMismatch("planar sequences need an axis-aligned 2n-gon")
-        return _numeric_sequences(P.underlying.label_map(), 2, P.n)
-    if variant == "corrugated":
-        if not isinstance(P, AxisAlignedM):
-            raise VariantMismatch("corrugated sequences need an axis-aligned mn-gon")
-        return _numeric_sequences(P.underlying.label_map(), P.m, P.n)
-    pair = P.underlying if isinstance(P, AxisAlignedMirrorPair) else P
-    if not isinstance(pair, MirrorPair):
-        raise VariantMismatch("mirror sequences need a mirror pair")
-    n = pair.n
-    if variant == "mirror_even" and n % 2 != 0:
-        raise VariantMismatch("mirror_even needs an even number of points")
-    if variant == "mirror_odd" and n % 2 != 1:
-        raise VariantMismatch("mirror_odd needs an odd number of points")
-    count = n - 1 if variant == "mirror_even" else n
-    return tuple(_mirror_sequence(pair, j) for j in range(1, count + 1))
+    variant, start, _, m = _variant(P)
+    if m is not None:
+        return _numeric_sequences(start.label_map(), m, P.n)
+    count = start.n - 1 if variant == "mirror_even" else start.n
+    return tuple(_mirror_sequence(start, j) for j in range(1, count + 1))
 
 
 def _numeric_sequences(label_map, m: int, n: int) -> tuple[NPoint, ...]:
@@ -559,7 +559,7 @@ def _numeric_sequences(label_map, m: int, n: int) -> tuple[NPoint, ...]:
     out = []
     for j in range(n - 1):
         tags = tuple(j * m + 1 + m * m * t for t in range(n))
-        points = tuple(_finite(label_map[tag % period]) for tag in tags)
+        points = tuple(label_map[tag % period].finite() for tag in tags)
         out.append(
             NPoint.homogeneous(points, tags, seq_label=2 * j + 1, level=1, period=period)
         )
@@ -576,7 +576,7 @@ def _mirror_sequence(pair: MirrorPair, j: int) -> NPoint:
 def _mirror_point(pair: MirrorPair, tag: MirrorTag) -> ProjPoint:
     idx, primed = tag
     p = pair.points[idx - 1]
-    return _finite(reflect_r(p) if primed else p)
+    return (reflect_r(p) if primed else p).finite()
 
 
 # ---------------------------------------------------------------------------
@@ -811,16 +811,9 @@ def star(X: NPoint, Y: NPoint) -> NPoint:
 class _OrbitContext:
     """Uniform access to map iterates for tag verification."""
 
-    def __init__(self, P, variant: str):
-        self.variant = variant
+    def __init__(self, P):
+        self.variant, start, step, self.m = _variant(P)
         self.n = P.n
-        if variant == "planar":
-            start, step, self.m = P.underlying, pentagram_step, 2
-        elif variant == "corrugated":
-            start, step, self.m = P.underlying, corrugated_step, P.m
-        else:
-            start = P.underlying if isinstance(P, AxisAlignedMirrorPair) else P
-            step, self.m = mp_step, None
         # not projcore.orbit: the L2 claims print a degenerate step's message
         # as the step raised it, without a step number
         states = [start]
@@ -835,7 +828,7 @@ class _OrbitContext:
 
     def tag_point(self, stage: int, tag) -> ProjPoint:
         if self.period is not None:
-            return _finite(self._maps[stage - 1][tag % self.period])
+            return self._maps[stage - 1][tag % self.period].finite()
         return _mirror_point(self._pairs[stage - 1], tag)
 
     def full_tag_union(self, stage: int) -> set:
@@ -935,7 +928,7 @@ def _check_stage(ctx: _OrbitContext, stage_seqs: Sequence[NPoint], stage: int,
                       union_ok=union_ok)
 
 
-def mating_orbit_check(P, variant: str, full: bool = False) -> MatingOrbitReport:
+def mating_orbit_check(P, full: bool = False) -> MatingOrbitReport:
     """Chain the matings and compare every stage against the map orbit.
 
     Planar/corrugated/even-mirror run one full-mating chain; stage unions are
@@ -945,8 +938,8 @@ def mating_orbit_check(P, variant: str, full: bool = False) -> MatingOrbitReport
     window by default, all n windows (with exact cross-window stage unions)
     when full is set.
     """
-    ctx = _OrbitContext(P, variant)
-    return _mating_orbit(ctx, build_A_sequences(P, variant), full)[0]
+    ctx = _OrbitContext(P)
+    return _mating_orbit(ctx, build_A_sequences(P), full)[0]
 
 
 def _mating_orbit(ctx: _OrbitContext, seqs: Sequence[NPoint],
@@ -1258,11 +1251,12 @@ def prism_independence_check(pj: Polyjoint) -> tuple[bool, tuple[str, ...]]:
 # collapse line and the full report
 
 
-def expected_projected_centroid(P, variant: str) -> ProjPoint:
-    if variant == "planar":
-        return center_of_mass_affine(P.underlying)
-    if variant == "corrugated":
-        return center_of_mass_m(P.underlying)
+def expected_projected_centroid(P) -> ProjPoint:
+    """The vertex mean of a labelled polygon, or a canonical pair's
+    collapse point: where the joint centroids must project."""
+    _, start, _, m = _variant(P)
+    if m is not None:
+        return affine_mean(start.vertices)
     if not isinstance(P, AxisAlignedMirrorPair):
         raise VariantMismatch("mirror centroid prediction needs a canonical pair")
     return P.collapse_point()
@@ -1289,22 +1283,17 @@ def collapse_line_check(P, pj: Polyjoint) -> CollapseLineReport:
     the center of mass.
     """
     tables = _LiftTables(pj)
-    variant = _infer_variant(P)
-    n = pj.n
-    line = tables.H(n - 1, n - 1)
-    seqs = build_A_sequences(P, variant)
-    if variant == "mirror_odd":
-        final = _run_chain(list(seqs[: n - 1]), star)[-1][0]
-    else:
-        final = _run_chain(seqs, mating)[-1][0]
-    return _collapse_line(pj, line, final, expected_projected_centroid(P, variant))
+    variant = _variant(P)[0]
+    line = tables.H(pj.n - 1, pj.n - 1)
+    final = _run_chain(*_lift_chain(variant, build_A_sequences(P)))[-1][0]
+    return _collapse_line(pj, line, final, expected_projected_centroid(P))
 
 
 def _collapse_line(pj: Polyjoint, line: AffineFlat, final: NPoint,
                    expected: ProjPoint) -> CollapseLineReport:
     projected = line.project(pj.d)
     points_on = all(projected._holds_point(p) for p in final.proj)
-    centroid_on = projected._holds_point(_finite(expected))
+    centroid_on = projected._holds_point(expected.finite())
     return CollapseLineReport(
         line=line,
         projected=projected,
@@ -1312,17 +1301,6 @@ def _collapse_line(pj: Polyjoint, line: AffineFlat, final: NPoint,
         points_on_line=points_on,
         centroid_on_line=centroid_on,
     )
-
-
-def _infer_variant(P) -> str:
-    if isinstance(P, AxisAligned2):
-        return "planar"
-    if isinstance(P, AxisAlignedM):
-        return "corrugated"
-    pair = P.underlying if isinstance(P, AxisAlignedMirrorPair) else P
-    if isinstance(pair, MirrorPair):
-        return "mirror_even" if pair.n % 2 == 0 else "mirror_odd"
-    raise VariantMismatch(f"no variant for {type(P).__name__}")
 
 
 @dataclass(frozen=True)
@@ -1351,21 +1329,16 @@ class LiftReport:
 _HEIGHT_RETRIES = 8
 
 
-def lift_report(P, variant: str | None = None, seed: int = 0,
-                full: bool = False) -> LiftReport:
+def lift_report(P, seed: int = 0, full: bool = False) -> LiftReport:
     """Run the whole lifting battery on one instance.
 
     The canonical L0 heights are tried first; if the lift degenerates or
     fails general position, seeded random heights are retried up to
     ``_HEIGHT_RETRIES`` times, and the heights actually used are reported.
     """
-    if variant is None:
-        variant = _infer_variant(P)
-    seqs = build_A_sequences(P, variant)
-    if variant == "mirror_odd":
-        lift_seqs = seqs[: len(seqs) - 1]
-    else:
-        lift_seqs = seqs
+    variant = _variant(P)[0]
+    seqs = build_A_sequences(P)
+    lift_seqs = _lift_chain(variant, seqs)[0]
     n = lift_seqs[0].count
     d = lift_seqs[0].d
     rng = SplitMix64(seed)
@@ -1400,7 +1373,7 @@ def lift_report(P, variant: str | None = None, seed: int = 0,
         LiftCheck("L2.2", general, f"normal rank {normal_rank} of {len(normals)}"),
     ]
 
-    expected = expected_projected_centroid(P, variant)
+    expected = expected_projected_centroid(P)
     centroid = centroid_coincidence_check(pj, expected)
     checks.append(
         LiftCheck(
@@ -1437,7 +1410,7 @@ def lift_report(P, variant: str | None = None, seed: int = 0,
         )
     )
 
-    orbit, final = _mating_orbit(_OrbitContext(P, variant), seqs, full)
+    orbit, final = _mating_orbit(_OrbitContext(P), seqs, full)
     checks.append(
         LiftCheck("L2.7", orbit.ok, "mating chain matches the map orbit")
     )

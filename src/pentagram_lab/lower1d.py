@@ -12,7 +12,6 @@ reports but nothing is asserted about it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DegenerateJoin, InfiniteVertex, NotAxisAligned, ZeroDenominator
 from .projcore import (
@@ -113,9 +112,8 @@ def center_of_mass_p1(A, B) -> ProjPoint:
         image = phi.apply(b)
         if not image.is_finite:
             raise InfiniteVertex(f"B_{i + 1} equals the common first-component value")
-        images.append(image.p1_value())
-    mean = Fraction(sum(images), len(images))
-    return phi.inverse().apply(ProjPoint.p1(mean))
+        images.append(image)
+    return phi.inverse().apply(affine_mean(images))
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .errors import (
 )
 from .projcore import (
     ProjPoint,
+    affine_mean,
     join_points,
     meet_consecutive_chords,
     meet_lines,
@@ -144,7 +145,7 @@ class AxisAlignedMirrorPair:
         """Where n-1 MP steps collapse the pair: (C, 0) for even n and
         (C, -1/n) for odd n, where C is the mean x-coordinate."""
         n = self.n
-        C = Fraction(sum(self.x_values()), n)
+        C = affine_mean(self.underlying.points).affine_coords()[0]
         return ProjPoint.affine(C, Fraction(0) if n % 2 == 0 else Fraction(-1, n))
 
 

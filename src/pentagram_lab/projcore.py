@@ -224,10 +224,15 @@ class ProjPoint:
     def is_finite(self) -> bool:
         return self.coords[-1] != 0
 
-    def affine_coords(self) -> tuple[Fraction, ...]:
-        if not self.is_finite:
+    def finite(self) -> "ProjPoint":
+        """The point itself; a point at infinity has no affine coordinates
+        and raises ``InfiniteVertex``."""
+        if not self.coords[-1]:
             raise InfiniteVertex(f"{self} has no affine coordinates")
-        w = self.coords[-1]
+        return self
+
+    def affine_coords(self) -> tuple[Fraction, ...]:
+        w = self.finite().coords[-1]
         return tuple(Fraction(c, w) for c in self.coords[:-1])
 
     def p1_value(self):
@@ -256,10 +261,7 @@ def affine_mean(points: Sequence[ProjPoint]) -> ProjPoint:
 
     Each point (c : w) is scaled to the lcm L of the w's, so the mean is the
     integer point (sum of c * L / w : k * L) for k points."""
-    for p in points:
-        if not p.is_finite:
-            raise InfiniteVertex(f"{p} has no affine coordinates")
-    scale = lcm(*(p.coords[-1] for p in points))
+    scale = lcm(*(p.finite().coords[-1] for p in points))
     sums = [0] * len(points[0].coords)
     for p in points:
         factor = scale // p.coords[-1]

@@ -76,8 +76,8 @@ def _stage_two_with(point):
     """Stage 2 of a planar n=4 chain and an orbit context in which the first
     mate's tagged orbit point is replaced by ``point``."""
     P = random_axis_aligned(4, seed=2)
-    ctx = lifting._OrbitContext(P, "planar")
-    stages = lifting._run_chain(build_A_sequences(P, "planar"), mating)
+    ctx = lifting._OrbitContext(P)
+    stages = lifting._run_chain(build_A_sequences(P), mating)
     assert lifting._check_stage(ctx, stages[1], 2, expect_union=True).ok
     tag = stages[1][0].tags[0]
     ctx._maps[1][tag % ctx.period] = point

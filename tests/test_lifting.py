@@ -55,14 +55,14 @@ def test_hexagon_lift_frozen(hexagon_aligned):
 
 
 def test_hexagon_a_sequences(hexagon_aligned):
-    seqs = build_A_sequences(hexagon_aligned, "planar")
+    seqs = build_A_sequences(hexagon_aligned)
     assert [s.seq_label for s in seqs] == [1, 3]
     assert [s.tags for s in seqs] == [(1, 5, 9), (3, 7, 11)]
     assert all(s.count == 3 and s.d == 2 for s in seqs)
 
 
 def test_hexagon_mating_orbit(hexagon_aligned):
-    orb = mating_orbit_check(hexagon_aligned, "planar", full=True)
+    orb = mating_orbit_check(hexagon_aligned, full=True)
     assert orb.ok
     assert orb.stages == 2
     assert orb.windows == ()
@@ -78,7 +78,7 @@ def test_mirror_odd_lift_and_windows():
     rep = lift_report(mp)
     assert rep.variant == "mirror_odd"
     assert rep.ok and rep.used_canonical
-    orb = mating_orbit_check(mp, "mirror_odd", full=True)
+    orb = mating_orbit_check(mp, full=True)
     assert orb.ok
     # odd mirrors are checked windowwise; there is no single global stage list
     assert orb.per_stage == ()
@@ -121,11 +121,11 @@ def test_short_corrugated_sequences_unsupported():
 
 def test_zero_heights_degenerate():
     # at n=3 the flat lift still assembles but the hyperplanes coincide
-    seqs = build_A_sequences(random_axis_aligned(3, seed=1000), "planar")
+    seqs = build_A_sequences(random_axis_aligned(3, seed=1000))
     pj = parallel_lift(seqs, ((Fraction(0),),) * 3)
     assert not general_position_check(pj.joints)
     # from n=4 on a flat lift cannot even form a joint
-    seqs4 = build_A_sequences(random_axis_aligned(4, seed=1000), "planar")
+    seqs4 = build_A_sequences(random_axis_aligned(4, seed=1000))
     with pytest.raises(NotAJoint) as exc:
         parallel_lift(seqs4, ((Fraction(0), Fraction(0)),) * 4)
     assert "affinely dependent" in str(exc.value)
@@ -136,12 +136,12 @@ def test_canonical_heights_shape():
     h4 = canonical_heights(4, 2)
     assert len(h4) == 4 and all(len(row) == 2 for row in h4)
     with pytest.raises(DimensionMismatch):
-        seqs = build_A_sequences(random_axis_aligned(4, seed=1000), "planar")
+        seqs = build_A_sequences(random_axis_aligned(4, seed=1000))
         parallel_lift(seqs, ((Fraction(0),),) * 4)
 
 
 def test_mating_and_star_disagree_on_wraparound():
-    seqs = build_A_sequences(random_axis_aligned(4, seed=2), "planar")
+    seqs = build_A_sequences(random_axis_aligned(4, seed=2))
     full = mating(seqs[0], seqs[1])
     partial = star(seqs[0], seqs[1])
     assert full.count == seqs[0].count
@@ -170,7 +170,7 @@ def test_hyperplane_normal_checks_orthogonality(monkeypatch):
 
 def test_lemma32_positional_mating_planar_n5():
     P = random_axis_aligned(5, seed=5)
-    pj = parallel_lift(build_A_sequences(P, "planar"), canonical_heights(5, 2))
+    pj = parallel_lift(build_A_sequences(P), canonical_heights(5, 2))
     flats = pj.joint_flats()
     # |J_1| ^ |J_3| = H_{2,2}, both sliced by the prism at label 2
     assert lemma32_check(flats[1], flats[3], pj.prism_at(2))
@@ -185,7 +185,7 @@ def test_lemma32_positional_mating_planar_n5():
 def test_public_slice_api_returns_fractions():
     # slices compare as integers inside; the public results stay Fraction tuples
     P = random_axis_aligned(5, seed=5)
-    pj = parallel_lift(build_A_sequences(P, "planar"), canonical_heights(5, 2))
+    pj = parallel_lift(build_A_sequences(P), canonical_heights(5, 2))
     flats = pj.joint_flats()
     for g, k, h in ((1, 1, 2), (2, 2, 2), (3, 3, 4), (4, 4, 4)):
         W, T = flat_H(g, k, flats), pj.prism_at(h)
@@ -200,7 +200,7 @@ def test_public_slice_api_returns_fractions():
 def _corrugated_lift_cut_short():
     # with these heights H(2,4) misses a level-2 face of prisms 2 and 4
     P = random_axis_aligned_m(3, 4, seed=0, bound=5)
-    return parallel_lift(build_A_sequences(P, "corrugated"), ((-1,), (-1,), (0,), (1,)))
+    return parallel_lift(build_A_sequences(P), ((-1,), (-1,), (0,), (1,)))
 
 
 def test_slice_failures_name_each_prism():
@@ -343,9 +343,9 @@ def test_lift_report_builds_sequences_and_chain_once(monkeypatch, sample, chains
     assert rep.ok
     assert calls == {"build_A_sequences": 1, "_run_chain": chains}
     # L2.7 and L2.8 give what the stand-alone checks give
-    seqs = build_A_sequences(P, rep.variant)
+    seqs = build_A_sequences(P)
     if rep.variant == "mirror_odd":
         seqs = seqs[:-1]
     pj = parallel_lift(seqs, rep.heights)
     assert collapse == [lifting.collapse_line_check(P, pj)]
-    assert rep.checks[6].ok == mating_orbit_check(P, rep.variant).ok
+    assert rep.checks[6].ok == mating_orbit_check(P).ok
