@@ -67,7 +67,6 @@ from .lifting import (
     mating_orbit_check,
     parallel_lift,
     prism_independence_check,
-    skeleton_recurrence_check,
     slices_check,
     star,
 )
@@ -114,13 +113,12 @@ from .projcore import (
     join_points,
     meet_coplanar_lines,
     meet_lines,
-    parse_rational,
     project_vertical,
     reflect_r,
     solve_harmonic4,
     solve_harmonic6,
 )
 from .rng import SplitMix64, trial_seed
-from .serde import dumps, load_instance, loads, save_instance
+from .serde import dumps, load_instance, loads, parse_rational, save_instance
 
 __version__ = "0.1.0"

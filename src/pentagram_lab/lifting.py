@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 from operator import mul
 from typing import Mapping, Sequence
@@ -231,10 +232,8 @@ def hyperplane_normal(J: Joint) -> Vec:
     """
     diffs = _differences(J._rows)
     n = J.n
-    # the determinant of integer rows is a whole number
     cofactors = [
-        (-1 if c % 2 else 1)
-        * linalg.det([row[:c] + row[c + 1:] for row in diffs]).numerator
+        (-1 if c % 2 else 1) * linalg.integer_det([row[:c] + row[c + 1:] for row in diffs])
         for c in range(n)
     ]
     if not any(cofactors):
@@ -1280,13 +1279,23 @@ def collapse_line_check(P, pj: Polyjoint) -> CollapseLineReport:
 
     This is the computational content of the collapse theorems on one
     instance: the last mating stage is trapped on the projected line through
-    the center of mass.
+    the center of mass.  pj must lift P's own sequences, or
+    ``VariantMismatch`` names the first sequence it does not lift.
     """
-    tables = _LiftTables(pj)
-    variant = _variant(P)[0]
-    line = tables.H(pj.n - 1, pj.n - 1)
-    final = _run_chain(*_lift_chain(variant, build_A_sequences(P)))[-1][0]
+    seqs, op = _lift_chain(_variant(P)[0], build_A_sequences(P))
+    for label, J, s in zip_longest(pj.seq_labels, pj.joints, seqs):
+        if s is None or label != s.seq_label or not _lifts(J, s, pj.d):
+            name = label if s is None else s.seq_label
+            raise VariantMismatch(f"the polyjoint does not lift sequence {name}")
+    line = _LiftTables(pj).H(pj.n - 1, pj.n - 1)
+    final = _run_chain(seqs, op)[-1][0]
     return _collapse_line(pj, line, final, expected_projected_centroid(P))
+
+
+def _lifts(J: Joint, s: NPoint, d: int) -> bool:
+    """Whether J's points, cut to their first d coordinates, are s's points."""
+    return J.n == s.count and all(
+        ProjPoint((*row[:d], J._scale)) == p for p, row in zip(s.proj, J._rows))
 
 
 def _collapse_line(pj: Polyjoint, line: AffineFlat, final: NPoint,
@@ -1338,6 +1347,7 @@ def lift_report(P, seed: int = 0, full: bool = False) -> LiftReport:
     """
     variant = _variant(P)[0]
     seqs = build_A_sequences(P)
+    expected = expected_projected_centroid(P)
     lift_seqs = _lift_chain(variant, seqs)[0]
     n = lift_seqs[0].count
     d = lift_seqs[0].d
@@ -1373,7 +1383,6 @@ def lift_report(P, seed: int = 0, full: bool = False) -> LiftReport:
         LiftCheck("L2.2", general, f"normal rank {normal_rank} of {len(normals)}"),
     ]
 
-    expected = expected_projected_centroid(P)
     centroid = centroid_coincidence_check(pj, expected)
     checks.append(
         LiftCheck(

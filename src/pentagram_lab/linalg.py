@@ -1,25 +1,22 @@
 """Small exact linear algebra over the rationals.
 
-The ``Fraction`` interface (``rref``, ``rank``, ``nullspace``,
-``solution_space``, ``solve``, ``det``) takes rational rows and returns
-``Fraction`` results, so rank, solvability and transversality decisions are
-exact.  Inside, every routine runs on Python ints: at this boundary integer
-rows are taken as they are and any other row is cleared of its denominators
-once; elimination is fraction-free (gcd-reduced Gauss-Jordan for ``rref``
-and its callers, Bareiss for ``det``), and the division by the pivots
-happens once at the end.  The reduced row echelon form is unique, so the
-results are exactly those of elimination over the rationals.
+Library callers keep their data in ints and use the integer interface, whose
+rows must already be ints, so it enters the elimination loop directly:
+``integer_echelon`` gives the reduced echelon rows as primitive integer rows,
+``integer_kernel`` the kernel rows read off echelon rows,
+``integer_solution_space`` the solutions of an augmented system as
+numerators over one denominator plus integer kernel rows, and
+``integer_det`` the Bareiss determinant.  ``integer_row`` is the package's
+one helper that clears a row of its denominators.
 
-Callers that keep their own data in ints use the integer interface, whose
-rows must already be ints: it enters the elimination loop directly, with no
-scan for fractions and no conversion.  ``integer_echelon`` gives the reduced
-echelon rows as primitive integer rows, ``integer_kernel`` the kernel rows
-read off echelon rows, ``integer_solution_space`` the solutions of an
-augmented system as numerators over one denominator plus integer kernel
-rows, and ``integer_det`` the Bareiss determinant; ``solution_space``,
-``nullspace`` and ``det`` clear denominators and then run the same steps.
-Matrices are lists of row lists; the sizes that occur in this package are
-tiny (at most eight or so columns).
+The ``Fraction`` interface (``rref``, ``rank``, ``nullspace``, ``solve``,
+``det``, ``in_span``) clears each row once with ``integer_row`` and runs the
+same fraction-free elimination (gcd-reduced Gauss-Jordan, Bareiss for
+``det``), dividing by the pivots once at the end; the reduced row echelon
+form is unique, so the results are exactly those over the rationals.  Of it
+the library calls only ``rank``; the rest serves the tests and the
+benchmark's tracer.  Matrices are lists of row lists; the sizes that occur
+in this package are tiny (at most eight or so columns).
 """
 
 from __future__ import annotations
@@ -31,20 +28,20 @@ from typing import Sequence
 Vec = tuple[Fraction, ...]
 
 
-def integer_row(row: Sequence) -> tuple[Sequence[int], int]:
-    """The row times the lcm of its denominators, and that lcm.
-
-    An all-int row is returned as it is, with scale 1.
+def integer_row(row: Sequence) -> tuple[tuple[int, ...], int]:
+    """The row times the lcm of its denominators, as an int tuple, and that
+    lcm (1 for an all-int row).  Int and ``Fraction`` entries are read through
+    their numerator and denominator; any other entry goes through ``Fraction``.
     """
-    if all(type(x) is int for x in row):
-        return row, 1
+    if set(map(type, row)) <= {int}:
+        return tuple(row), 1
     ratios = [x.as_integer_ratio() if type(x) is int or type(x) is Fraction
               else Fraction(x).as_integer_ratio() for x in row]
-    scale = lcm(*(d for _, d in ratios))
-    return [a * (scale // d) for a, d in ratios], scale
+    scale = lcm(*[d for _, d in ratios])
+    return tuple([a * (scale // d) for a, d in ratios]), scale
 
 
-def _integer_rows(rows: Sequence[Sequence]) -> list[Sequence[int]]:
+def _integer_rows(rows: Sequence[Sequence]) -> list[tuple[int, ...]]:
     """Each row cleared of its denominators (integer rows as they are)."""
     return [integer_row(row)[0] for row in rows]
 
@@ -181,28 +178,13 @@ def integer_solution_space(aug: Sequence[Sequence[int]], ncols: int):
     return num, den, integer_kernel(m, pivots, ncols)
 
 
-def solution_space(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction],
-                   ncols: int) -> tuple[Vec, list[Vec]] | None:
-    """All solutions of rows @ x = rhs in R^ncols, from one elimination.
-
-    Returns one solution (free variables 0) and a nullspace basis, or None
-    if the system is inconsistent.
-    """
-    aug = _integer_rows([(*row, b) for row, b in zip(rows, rhs, strict=True)])
-    space = integer_solution_space(aug, ncols)
-    if space is None:
-        return None
-    num, den, kernel = space
-    return (tuple(Fraction(x, den) for x in num),
-            [tuple(Fraction(x, scale) for x in row) for row, scale in kernel])
-
-
 def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vec | None:
     """One solution of rows @ x = rhs, or None if inconsistent.  Free variables are 0."""
     if not rows:
         return ()
-    space = solution_space(rows, rhs, len(rows[0]))
-    return None if space is None else space[0]
+    aug = _integer_rows([(*row, b) for row, b in zip(rows, rhs, strict=True)])
+    space = integer_solution_space(aug, len(rows[0]))
+    return None if space is None else tuple(Fraction(x, space[1]) for x in space[0])
 
 
 def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:

@@ -10,11 +10,11 @@ The kernel is integer-native.  Joins, meets, harmonic solves and maps
 produce integer coordinates, and integer input is taken as it is.  The
 ``Fraction`` boundary sits at the constructors: a ``ProjPoint`` or
 ``ProjLine2`` built from rationals has its denominators cleared there, once,
-on the generic path that any input other than an int 2- or 3-tuple takes;
-int and ``Fraction`` entries are read through their numerators and
-denominators, without building new ``Fraction``s.  ``ProjPoint.affine`` and
-``ProjPoint.p1`` put their values over a common denominator first, so they
-reach the constructor as int tuples.  Past it, joins, meets, harmonic
+on the generic path that any input other than an int 2- or 3-tuple takes,
+by ``linalg.integer_row`` (which ``ProjPoint.affine`` and ``ProjPoint.p1``
+call first, so they reach the constructor as int tuples); it reads int and
+``Fraction`` entries through their numerators and denominators.  Text is
+parsed in ``serde``.  Past the constructors, joins, meets, harmonic
 solves and reflections read the int coordinates, form the result entries
 inline, and hand an int 2- or 3-tuple to the constructor, which divides out
 the content with one ``gcd`` and no ``Fraction``.  Coplanar meets in P^m
@@ -80,10 +80,6 @@ class Infinity:
 INF = Infinity()
 
 
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
-
-
 def int_text(value: int) -> str:
     """``str(value)``, also past Python's int-to-string digit limit.
 
@@ -138,15 +134,6 @@ def as_fraction(value) -> Fraction:
     return value if type(value) is Fraction else Fraction(value)
 
 
-def _cleared(values: Iterable) -> tuple[int, ...]:
-    """Homogeneous exact rationals times the lcm of their denominators, as
-    ints.  Int and ``Fraction`` entries are read through their numerator and
-    denominator; any other entry is converted by ``Fraction`` first."""
-    fracs = [v if type(v) is int or type(v) is Fraction else Fraction(v) for v in values]
-    scale = lcm(*(f.denominator for f in fracs))
-    return tuple(f.numerator * (scale // f.denominator) for f in fracs)
-
-
 def _canonical_ints(values: Iterable[int | Fraction]) -> tuple[int, ...]:
     """The primitive integer tuple of ``values`` with first nonzero entry > 0.
 
@@ -178,15 +165,14 @@ def _canonical_ints(values: Iterable[int | Fraction]) -> tuple[int, ...]:
                 if g == 0:
                     raise ValueError("homogeneous coordinates must not all vanish")
                 return (x // g, y // g)
-    values = tuple(values)
-    ints = values if all(type(v) is int for v in values) else _cleared(values)
+    ints = linalg.integer_row(tuple(values))[0]
     g = gcd(*ints)
     if g == 0:
         raise ValueError("homogeneous coordinates must not all vanish")
     if next(v for v in ints if v) < 0:
         g = -g
     if g == 1:
-        return tuple(ints)
+        return ints
     return tuple(v // g for v in ints)
 
 
@@ -207,14 +193,14 @@ class ProjPoint:
     def affine(cls, *xs: int | Fraction) -> "ProjPoint":
         """The point (x_1 : ... : x_d : 1), put over the lcm of the
         denominators as an int tuple before it is canonicalized."""
-        return cls(_cleared((*xs, 1)))
+        return cls(linalg.integer_row((*xs, 1))[0])
 
     @classmethod
     def p1(cls, value) -> "ProjPoint":
         """Point of the projective line from a rational value or INF."""
         if isinstance(value, Infinity):
             return cls((1, 0))
-        return cls(_cleared((value, 1)))
+        return cls(linalg.integer_row((value, 1))[0])
 
     @property
     def dim(self) -> int:

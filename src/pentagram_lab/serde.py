@@ -28,7 +28,6 @@ from .lower1d import PairState1D
 from .mirror import MirrorPair
 from .pentagram2d import LabeledPolygon2
 from .projcore import P1_INFINITY, ProjPoint, format_p1, format_rational
-from .projcore import parse_rational as _parse_fraction
 
 FORMAT_TAG = "pentagram-lab/v1"
 
@@ -39,11 +38,12 @@ _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*\Z")
 
 
 def parse_rational(text: str) -> Fraction:
-    """``text`` as an exact rational.  A numerator or denominator with more
-    digits than Python converts to a string (``sys.get_int_max_str_digits``)
-    is a usage error: input is held to the limit that ``int()`` applies to
-    the digits of a literal, while computed values are printed past it
-    (``projcore.int_text``).  A literal whose
+    """``text`` as an exact rational, or a usage error: the package's one
+    parser (instance files, ``--a1`` lists, ``pentagram_lab.parse_rational``).
+    A numerator or denominator with more digits than Python converts to a
+    string (``sys.get_int_max_str_digits``) is refused: input is held to the
+    limit that ``int()`` applies to the digits of a literal, while computed
+    values are printed past it (``projcore.int_text``).  A literal whose
     exponent alone puts it past that limit is refused before its power of
     ten is built, even where the mantissa is zero."""
     # 0 means no limit, as on Pythons older than 3.10.7, which lack the call
@@ -54,7 +54,7 @@ def parse_rational(text: str) -> Fraction:
         # bring 10**|e| back under the limit
         if limit and exponent and abs(int(exponent[1])) > limit + len(text):
             raise UsageError(f"the exponent of {text!r} passes the {limit}-digit limit")
-        value = _parse_fraction(text)
+        value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"not a rational number: {text!r}") from exc
     widest = max(abs(value.numerator), value.denominator)

@@ -19,6 +19,7 @@ from pentagram_lab import lifting
 from pentagram_lab.corrugated import random_axis_aligned_m
 from pentagram_lab.errors import PentagramError, VariantMismatch
 from pentagram_lab.lifting import (
+    NPoint,
     build_A_sequences,
     canonical_heights,
     collapse_line_check,
@@ -60,10 +61,11 @@ PINS = {
     "mirror_n5": (
         "acfd25dd48faf205b3258897904b44fea34bd1a97fcdd2676b8ee4235a2d1885",
         {"DegenerateMeet": 3}),
-    # a generic pair has no parallel prisms, so only L2.7 runs through
+    # a generic pair has no parallel prisms, so only L2.7 runs through, and
+    # lift_report refuses the raw pair before lifting it
     "raw_mirror_n5": (
-        "0d1ed3e10b5a5598aa51f795d70fdf04828d0325ac20b8f80918e9c64c834a1c",
-        {"DegenerateSpan": 60, "NotAJoint": 60}),
+        "b9f20af19caf80b9069a4b7ae630db0907c6df83f4a4452cfddd48260f5a8c9f",
+        {"DegenerateSpan": 60, "VariantMismatch": 60}),
 }
 
 
@@ -117,6 +119,24 @@ def test_raw_mirror_pair_has_no_centroid_prediction():
     with pytest.raises(VariantMismatch) as excinfo:
         collapse_line_check(P.underlying, pj)
     assert str(excinfo.value) == "mirror centroid prediction needs a canonical pair"
+
+
+@pytest.mark.parametrize("other", [
+    # another n: four sequences of four points
+    lambda seqs: build_A_sequences(random_axis_aligned(4, 0)),
+    # the last point of every sequence moved by (1, 1), so prisms remain
+    lambda seqs: [NPoint(s.points[:-1] + (tuple(x + 1 for x in s.points[-1]),),
+                         s.tags, s.seq_label) for s in seqs],
+    # the same points under other labels
+    lambda seqs: [NPoint(s.points, s.tags, s.seq_label + 2) for s in seqs],
+], ids=["planar_n4", "last_point_moved", "relabeled"])
+def test_collapse_line_check_rejects_a_lift_of_another_instance(other):
+    P = random_axis_aligned(5, 0)
+    seqs = other(build_A_sequences(P))
+    pj = parallel_lift(seqs, canonical_heights(seqs[0].count, 2))
+    with pytest.raises(VariantMismatch) as excinfo:
+        collapse_line_check(P, pj)
+    assert str(excinfo.value) == "the polyjoint does not lift sequence 1"
 
 
 @pytest.mark.parametrize("sample, name", [

@@ -163,7 +163,7 @@ def test_hyperplane_normal_checks_orthogonality(monkeypatch):
     J = Joint.of([(0, 0, 0), (1, 0, 0), (0, 1, 1)])
     assert hyperplane_normal(J) == (0, -1, 1)
     # a wrong minor must surface as a typed error, also under python -O
-    monkeypatch.setattr(lifting.linalg, "det", lambda rows: Fraction(1))
+    monkeypatch.setattr(lifting.linalg, "integer_det", lambda rows: 1)
     with pytest.raises(NonOrthogonalNormal):
         hyperplane_normal(J)
 

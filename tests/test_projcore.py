@@ -13,7 +13,7 @@ from pentagram_lab.errors import (
     NonCoplanarDiagonals,
     ZeroDenominator,
 )
-from pentagram_lab import projcore
+from pentagram_lab import parse_rational, projcore
 from pentagram_lab.projcore import (
     INF,
     P1_INFINITY,
@@ -30,7 +30,6 @@ from pentagram_lab.projcore import (
     meet_lines,
     mobius_to_infinity,
     orbit,
-    parse_rational,
     project_vertical,
     random_projective_map,
     reflect_r,

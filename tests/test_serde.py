@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pentagram_lab
 from pentagram_lab import serde
 from pentagram_lab.cli import CLAIMS, LIFT_CHECKS, entrypoint
 from pentagram_lab.corrugated import PolygonM, random_axis_aligned_m
@@ -129,9 +130,11 @@ def test_long_exponent_rejected_before_its_power_is_built(monkeypatch):
     def build(text):
         raise AssertionError(f"{text} reached the Fraction constructor")
 
-    monkeypatch.setattr(serde, "_parse_fraction", build)
-    with pytest.raises(UsageError, match="exponent"):
-        parse_rational("1e2000000")
+    monkeypatch.setattr(serde, "Fraction", build)
+    # the package-level parser is the same guarded one
+    for parse in (parse_rational, pentagram_lab.parse_rational):
+        with pytest.raises(UsageError, match="exponent"):
+            parse("1e2000000")
 
 
 @pytest.mark.parametrize("value", ["1e5000", "1e2000000"])
