@@ -498,18 +498,19 @@ def _fork_join(chunks: list[list]) -> list:
     Every child is reaped before this returns or raises, so ``getrusage``
     counts it.  The exception of the lowest failing trial is raised, as in a
     serial run; a child that dies without sending its results is a
-    ``RuntimeError``.
+    ``RuntimeError``, and a pipe or fork the system refuses a ``UsageError``.
     """
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
     try:
         for chunk in chunks[1:]:
-            read_fd, write_fd = os.pipe()
+            fds: tuple[int, ...] = ()
             try:
+                fds = read_fd, write_fd = os.pipe()
                 pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
+            except OSError as exc:
+                for fd in fds:
+                    os.close(fd)
+                raise UsageError(f"cannot start a trial worker: {exc}") from exc
             if pid == 0:
                 _trial_child(chunk, write_fd, [read_fd] + [fd for _, fd in children])
             # closed before the next fork, so the child alone holds the

@@ -17,9 +17,10 @@ variants (planar, corrugated, mirror with even or odd n):
      skeletons Sigma_k T of the prisms turn incidence claims into exact
      rank/solve computations: slicing, prism independence, and finally the
      collapse line H_{n-1,n-1}, whose projection carries the final mating
-     points together with the common centroid.  One ``lift_report`` builds
-     each of these flats, skeletons and slices once and shares them among
-     its checks.
+     points together with the common centroid.  ``lift_report`` builds the
+     skeletons once for L2.4, then one slicing pass builds each H_{g,k}
+     and each slice once and decides L2.5 and L2.6; L2.8 reads its line
+     from the same pass.
 
 Tags use two vocabularies.  Planar/corrugated entries carry integer vertex
 labels, kept unreduced (monotone) so that a mating's child label is the plain
@@ -653,13 +654,16 @@ def parallel_lift(seqs: Sequence[NPoint], heights) -> Polyjoint:
 def general_position_check(joints: Sequence[Joint]) -> bool:
     """The hyperplane normals of the joints are linearly independent."""
     joints = tuple(joints)
-    if not joints:
-        return True
-    n = joints[0].n
-    if any(J.n != n for J in joints):
+    if any(J.n != joints[0].n for J in joints):
         raise NotAJoint("joints live in different spaces")
-    normals = [hyperplane_normal(J) for J in joints]
-    return linalg.rank(normals) == len(normals)
+    normals, rank = _normals_and_rank(joints)
+    return rank == len(normals)
+
+
+def _normals_and_rank(joints: Sequence[Joint]) -> tuple[tuple[Vec, ...], int]:
+    """The joints' hyperplane normals and the rank of the matrix they form."""
+    normals = tuple(hyperplane_normal(J) for J in joints)
+    return normals, linalg.rank(normals)
 
 
 @dataclass(frozen=True)
@@ -1081,14 +1085,6 @@ class _Skeleton:
         return tuple(points), tuple(reasons)
 
 
-def _slices_report(level: int, points: Sequence[AffineFlat],
-                   reasons: tuple[str, ...]) -> SlicesReport:
-    """The public report of a slice: its points as ``Fraction`` tuples."""
-    if reasons:
-        return SlicesReport(False, level, None, reasons)
-    return SlicesReport(True, level, tuple(p.base for p in points), ())
-
-
 def skeleton_recurrence_check(T: Prism, k: int) -> bool:
     """t_{l-1}(j) = t_l(j-1) ^ t_l(j+1) at every level l <= k, checked
     exactly: the meet holds t_{l-1}(j), so it is decided by the dimension of
@@ -1134,7 +1130,10 @@ class SlicesReport:
 def slices_check(W: AffineFlat, T: Prism) -> SlicesReport:
     """codim-j W slices T: one point per level-j face, all n distinct, and
     (below the top level) one line per level-(j+1) face, all distinct."""
-    return _slices_report(W.codim, *_Skeleton(T).slices(W))
+    points, reasons = _Skeleton(T).slices(W)
+    if reasons:
+        return SlicesReport(False, W.codim, None, reasons)
+    return SlicesReport(True, W.codim, tuple(p.base for p in points), ())
 
 
 def slice_points(W: AffineFlat, T: Prism) -> tuple[Vec, ...]:
@@ -1161,89 +1160,63 @@ def lemma32_check(V: AffineFlat, Vp: AffineFlat, T: Prism) -> bool:
     return True
 
 
-class _LiftTables:
-    """The flats, skeletons and slices of one polyjoint, each built once.
+def _skeletons(pj: Polyjoint) -> dict[int, _Skeleton]:
+    """The skeleton of every prism of pj, keyed by prism label."""
+    return {h: _Skeleton(T) for h, T in zip(pj.prism_labels(), pj.prisms)}
 
-    Joint flats, every H_{g,k}, every prism skeleton and every
-    (H_{g,k}, prism) slice result are computed on first use and then shared
-    by L2.4, L2.5, L2.6 and L2.8.  Tables belong to the one call that builds
-    them; nothing is kept between calls.
+
+def _slicing_pass(pj: Polyjoint, skeletons: Mapping[int, _Skeleton]):
+    """Slice every H_{g,k} by the prisms h with |h-k| <= g, in label order.
+
+    Each H_{g,k} is built once and each (H_{g,k}, prism) slice is made once.
+    Returns the H-flats that exist, keyed by (g, k), and the (ok, failures)
+    verdicts of L2.5 (the prisms with |h-k| <= 1) and L2.6 (every prism
+    sliced, and slice sets that differ between prisms).
     """
-
-    def __init__(self, pj: Polyjoint):
-        self.n = pj.n
-        self.flats = pj.joint_flats()
-        self.skeletons = {
-            h: _Skeleton(T) for h, T in zip(pj.prism_labels(), pj.prisms)
-        }
-        # H_{g,k}, or the NonTransverse message it raised
-        self._H: dict[tuple[int, int], AffineFlat | str] = {}
-        # the (point flats, reasons) of each (H_{g,k}, prism h) slice
-        self._cuts: dict[tuple[int, int, int], tuple] = {}
-
-    def H(self, g: int, k: int) -> AffineFlat:
-        if (g, k) not in self._H:
+    n = pj.n
+    hyperplanes = pj.joint_flats()
+    flats: dict[tuple[int, int], AffineFlat] = {}
+    sliced: list[str] = []
+    indep: list[str] = []
+    for g in range(1, n):
+        for k in range(g, 2 * (n - 1) - g + 1, 2):
             try:
-                self._H[g, k] = flat_H(g, k, self.flats)
+                W = flat_H(g, k, hyperplanes)
             except NonTransverse as exc:
-                self._H[g, k] = str(exc)
-        found = self._H[g, k]
-        if isinstance(found, str):
-            raise NonTransverse(found)
-        return found
-
-    def cuts(self, g: int, k: int, h: int) -> tuple[tuple[AffineFlat, ...], tuple[str, ...]]:
-        if (g, k, h) not in self._cuts:
-            self._cuts[g, k, h] = self.skeletons[h].slices(self.H(g, k))
-        return self._cuts[g, k, h]
-
-    def slices(self, g: int, k: int, h: int) -> SlicesReport:
-        return _slices_report(g, *self.cuts(g, k, h))
-
-    def H_indices(self) -> list[tuple[int, int]]:
-        n = self.n
-        return [(g, k) for g in range(1, n) for k in range(g, 2 * (n - 1) - g + 1, 2)]
-
-    def sliced(self, independent: bool) -> tuple[bool, tuple[str, ...]]:
-        """Slice every H_{g,k} by the prisms h near k, in label order.
-
-        L2.5 (``independent`` false) takes the prisms with |h-k| <= 1.  L2.6
-        takes those with |h-k| <= g, and their slice sets must agree.
-        """
-        failures = []
-        for g, k in self.H_indices():
-            try:
-                self.H(g, k)
-            except NonTransverse as exc:
-                failures.append(f"H({g},{k}): {exc}")
+                sliced.append(f"H({g},{k}): {exc}")
+                indep.append(sliced[-1])
                 continue
-            reach = g if independent else 1
+            flats[g, k] = W
             seen: frozenset | None = None
-            for h in self.skeletons:
-                if abs(h - k) > reach:
+            for h, skeleton in skeletons.items():
+                if abs(h - k) > g:
                     continue
-                points, reasons = self.cuts(g, k, h)
+                points, reasons = skeleton.slices(W)
                 if reasons:
-                    failures.append(f"H({g},{k}) vs prism {h}: " + "; ".join(reasons))
-                    continue
-                if independent:
-                    pts = frozenset(points)
-                    if seen is None:
-                        seen = pts
-                    elif pts != seen:
-                        failures.append(f"H({g},{k}): prism {h} slice set differs")
-        return not failures, tuple(failures)
+                    indep.append(f"H({g},{k}) vs prism {h}: " + "; ".join(reasons))
+                    if abs(h - k) <= 1:
+                        sliced.append(indep[-1])
+                elif seen is None:
+                    seen = frozenset(points)
+                elif frozenset(points) != seen:
+                    indep.append(f"H({g},{k}): prism {h} slice set differs")
+    return flats, (not sliced, tuple(sliced)), (not indep, tuple(indep))
 
 
 def fully_sliced_check(pj: Polyjoint) -> tuple[bool, tuple[str, ...]]:
-    """slices_check for every H_{g,k} against every prism with |h-k| <= 1."""
-    return _LiftTables(pj).sliced(independent=False)
+    """slices_check for every H_{g,k} against every prism with |h-k| <= 1.
+
+    It runs the pass of ``prism_independence_check`` and keeps the adjacent
+    prisms' failures, so a degenerate skeleton face of any prism within
+    |h-k| <= g raises ``DegenerateSpan`` here too.
+    """
+    return _slicing_pass(pj, _skeletons(pj))[1]
 
 
 def prism_independence_check(pj: Polyjoint) -> tuple[bool, tuple[str, ...]]:
     """H_{g,k} ^ Sigma_g T_h yields one point set for every prism h with
-    |h-k| <= g."""
-    return _LiftTables(pj).sliced(independent=True)
+    |h-k| <= g; the same pass decides ``fully_sliced_check``."""
+    return _slicing_pass(pj, _skeletons(pj))[2]
 
 
 # ---------------------------------------------------------------------------
@@ -1287,7 +1260,7 @@ def collapse_line_check(P, pj: Polyjoint) -> CollapseLineReport:
         if s is None or label != s.seq_label or not _lifts(J, s, pj.d):
             name = label if s is None else s.seq_label
             raise VariantMismatch(f"the polyjoint does not lift sequence {name}")
-    line = _LiftTables(pj).H(pj.n - 1, pj.n - 1)
+    line = flat_H(pj.n - 1, pj.n - 1, pj.joint_flats())
     final = _run_chain(seqs, op)[-1][0]
     return _collapse_line(pj, line, final, expected_projected_centroid(P))
 
@@ -1364,9 +1337,7 @@ def lift_report(P, seed: int = 0, full: bool = False) -> LiftReport:
         except (NotAJoint, DegenerateSpan) as exc:
             construction_error = str(exc)
             continue
-        # general_position_check on the joints, keeping the normals for L2.2
-        normals = tuple(hyperplane_normal(J) for J in candidate.joints)
-        normal_rank = linalg.rank(normals)
+        normals, normal_rank = _normals_and_rank(candidate.joints)
         general = normal_rank == len(normals)
         if general:
             pj = candidate
@@ -1394,15 +1365,16 @@ def lift_report(P, seed: int = 0, full: bool = False) -> LiftReport:
         )
     )
 
-    tables = _LiftTables(pj)
+    skeletons = _skeletons(pj)
     recurrence_ok = all(
-        skeleton.recurrence_holds(n - 1) for skeleton in tables.skeletons.values()
+        skeleton.recurrence_holds(n - 1) for skeleton in skeletons.values()
     )
     checks.append(
         LiftCheck("L2.4", recurrence_ok, "skeleton intersection recurrence")
     )
 
-    sliced_ok, sliced_failures = tables.sliced(independent=False)
+    # L2.4 has built every skeleton level, so the pass raises no DegenerateSpan
+    H, (sliced_ok, sliced_failures), (indep_ok, indep_failures) = _slicing_pass(pj, skeletons)
     checks.append(
         LiftCheck(
             "L2.5", sliced_ok,
@@ -1410,7 +1382,6 @@ def lift_report(P, seed: int = 0, full: bool = False) -> LiftReport:
         )
     )
 
-    indep_ok, indep_failures = tables.sliced(independent=True)
     checks.append(
         LiftCheck(
             "L2.6", indep_ok,
@@ -1424,7 +1395,10 @@ def lift_report(P, seed: int = 0, full: bool = False) -> LiftReport:
         LiftCheck("L2.7", orbit.ok, "mating chain matches the map orbit")
     )
 
-    collapse = _collapse_line(pj, tables.H(n - 1, n - 1), final, expected)
+    line = H.get((n - 1, n - 1))
+    if line is None:  # raises the NonTransverse the pass recorded
+        line = flat_H(n - 1, n - 1, pj.joint_flats())
+    collapse = _collapse_line(pj, line, final, expected)
     checks.append(
         LiftCheck(
             "L2.8", collapse.ok,

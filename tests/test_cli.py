@@ -1,6 +1,7 @@
 """End-to-end CLI: exit codes, exact stdout, determinism."""
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -644,6 +645,35 @@ def test_dead_trial_worker_is_an_error(capsys, monkeypatch):
     assert pid != parent
     assert str(exc.value) == (f"trial worker {pid} exited without its results "
                               f"(wait status {9 << 8})")
+    assert_no_child_left()
+
+
+def refused_after_first_call(real, code):
+    """``real`` for its first call; every later call raises OSError(code)."""
+    calls = []
+
+    def patched(*args):
+        calls.append(args)
+        if len(calls) > 1:
+            raise OSError(code, os.strerror(code))
+        return real(*args)
+
+    return patched
+
+
+@needs_fork
+@pytest.mark.parametrize("name, code", [("fork", errno.EAGAIN), ("pipe", errno.EMFILE)],
+                         ids=["fork", "pipe"])
+def test_worker_the_system_refuses_is_a_usage_error(capsys, monkeypatch, name, code):
+    # the first child starts; the second pipe or fork is refused, and the
+    # started child is reaped before the usage error reaches the user
+    monkeypatch.setattr(os, name, refused_after_first_call(getattr(os, name), code))
+    monkeypatch.setenv("PENTAGRAM_LAB_THREADS", "3")
+    argv = ("verify", "--theorem", "T008", "--random", "--n", "4", "--trials", "3")
+    with deadline(60):
+        exit_code, out, err = run(capsys, *argv)
+    assert (exit_code, out) == (3, "")
+    assert err == f"usage error: cannot start a trial worker: [Errno {code}] {os.strerror(code)}\n"
     assert_no_child_left()
 
 

@@ -7,6 +7,7 @@ import pytest
 from pentagram_lab.corrugated import random_axis_aligned_m
 from pentagram_lab import lifting
 from pentagram_lab.errors import (
+    DegenerateSpan,
     DimensionMismatch,
     InconsistentTags,
     NonOrthogonalNormal,
@@ -29,12 +30,14 @@ from pentagram_lab.lifting import (
     mating_orbit_check,
     parallel_lift,
     prism_independence_check,
+    random_heights,
     slice_points,
     slices_check,
     star,
 )
 from pentagram_lab.mirror import AxisAlignedMirrorPair, random_axis_aligned_mirror
 from pentagram_lab.pentagram2d import AxisAligned2, random_axis_aligned
+from pentagram_lab.rng import SplitMix64
 
 ALL_CHECKS = ("L2.1", "L2.2", "L2.3", "L2.4", "L2.5", "L2.6", "L2.7", "L2.8")
 
@@ -212,16 +215,99 @@ def test_slice_failures_name_each_prism():
     )
 
 
-def test_lift_tables_match_fresh_checks():
-    # every shared H-flat and slice result equals the one computed afresh
-    pj = _corrugated_lift_cut_short()
-    tables = lifting._LiftTables(pj)
-    flats = pj.joint_flats()
-    for g, k in tables.H_indices():
-        W = flat_H(g, k, flats)
-        assert tables.H(g, k) == W
-        for h in pj.prism_labels():
-            assert tables.slices(g, k, h) == slices_check(W, pj.prism_at(h))
+def _reference_slicing(pj):
+    """The H-flats and the L2.5 and L2.6 verdicts, from flat_H and a fresh
+    slices_check per (g, k, h): reach 1 for L2.5, reach g for L2.6."""
+    flats, n = pj.joint_flats(), pj.n
+    H, sliced, indep = {}, [], []
+    for g in range(1, n):
+        for k in range(g, 2 * n - 1 - g, 2):
+            try:
+                H[g, k] = flat_H(g, k, flats)
+            except NonTransverse as exc:
+                sliced.append(f"H({g},{k}): {exc}")
+                indep.append(f"H({g},{k}): {exc}")
+                continue
+            for reach, failures, compare in ((1, sliced, False), (g, indep, True)):
+                first = None
+                for h in pj.prism_labels():
+                    if abs(h - k) > reach:
+                        continue
+                    report = slices_check(H[g, k], pj.prism_at(h))
+                    if not report.ok:
+                        failures.append(f"H({g},{k}) vs prism {h}: " + "; ".join(report.reasons))
+                    elif compare and first is None:
+                        first = set(report.points)
+                    elif compare and set(report.points) != first:
+                        failures.append(f"H({g},{k}): prism {h} slice set differs")
+    return H, (not sliced, tuple(sliced)), (not indep, tuple(indep))
+
+
+def _seeded_lift(sample, heights):
+    P = sample()
+    seqs = lifting._lift_chain(lifting._variant(P)[0], build_A_sequences(P))[0]
+    return parallel_lift(seqs, heights(seqs[0].count, seqs[0].d))
+
+
+SLICING_LIFTS = [_corrugated_lift_cut_short] + [
+    lambda sample=sample, heights=heights: _seeded_lift(sample, heights)
+    for sample in (lambda: random_axis_aligned(5, seed=5),
+                   lambda: random_axis_aligned_mirror(5, seed=5),
+                   lambda: random_axis_aligned_m(3, 3, seed=0))
+    for heights in (canonical_heights,
+                    lambda n, d: random_heights(n, d, SplitMix64(1)),
+                    # for planar and mirror n=5, some H_{g,k} are not transverse
+                    lambda n, d: random_heights(n, d, SplitMix64(3), bound=2))
+]
+SLICING_IDS = ["corrugated_cut_short"] + [
+    f"{sample}_{heights}" for sample in ("planar_n5", "mirror_n5", "corrugated_3_3")
+    for heights in ("canonical", "random", "random_repeated")
+]
+
+
+@pytest.mark.parametrize("lift", SLICING_LIFTS, ids=SLICING_IDS)
+def test_slicing_pass_matches_fresh_checks(lift):
+    # every H-flat and both verdicts of the one pass equal the fresh checks
+    pj = lift()
+    reference = _reference_slicing(pj)
+    assert lifting._slicing_pass(pj, lifting._skeletons(pj)) == reference
+    assert fully_sliced_check(pj) == reference[1]
+    assert prism_independence_check(pj) == reference[2]
+
+
+def test_slicing_pass_names_a_prism_whose_slice_set_differs(monkeypatch):
+    # prism 6 is made to repeat one slice point in place of another; every
+    # H_{g,k} that reaches it after an earlier prism reports it, and L2.5,
+    # which compares no sets, still holds
+    pj = parallel_lift(build_A_sequences(random_axis_aligned(5, seed=5)),
+                       canonical_heights(5, 2))
+    moved, real = pj.prism_at(6), lifting._Skeleton.slices
+
+    def slices(skeleton, W):
+        points, reasons = real(skeleton, W)
+        if skeleton.prism is moved:
+            points = points[1:2] + points[1:]
+        return points, reasons
+
+    monkeypatch.setattr(lifting._Skeleton, "slices", slices)
+    assert fully_sliced_check(pj) == (True, ())
+    assert prism_independence_check(pj) == (False, tuple(
+        f"H({g},{k}): prism 6 slice set differs"
+        for g, k in ((1, 5), (2, 4), (2, 6), (3, 3), (3, 5), (4, 4))))
+
+
+def test_fully_sliced_check_raises_like_prism_independence_check():
+    # H(2,2) reaches the far prism 4, whose level-3 face is degenerate: the
+    # one pass slices it for both checks, so both raise.  lift_report turns
+    # these heights down (their normals have rank 2) and lifts with others
+    P = random_axis_aligned_m(3, 4, 29, 5)
+    pj = parallel_lift(build_A_sequences(P), canonical_heights(4, 3))
+    for check in (fully_sliced_check, prism_independence_check):
+        with pytest.raises(DegenerateSpan) as exc:
+            check(pj)
+        assert str(exc.value) == "level 3 face 0 has dimension 2"
+    rep = lift_report(P)
+    assert rep.ok and not rep.used_canonical
 
 
 # Known open defect: at n=4 about one draw in 500 fails L2.5 and L2.6,
@@ -276,9 +362,15 @@ def test_lift_report_computes_normals_once(monkeypatch):
 ], ids=["planar_n5", "mirror_n5", "corrugated_3_3"])
 def test_skeleton_meets_only_level_j_faces(monkeypatch, sample):
     # L2.4 is a dimension count and the slice lines are joins of the slice
-    # points: a slice makes one meet per level-j face, the recurrence none
+    # points: a slice makes one meet per level-j face, the recurrence none.
+    # One pass builds each H_{g,k} once and slices it once per prism in reach
     meets = []
     calls = []
+    flats = []
+
+    def built(g, k, hyperplanes):
+        flats.append((g, k, flat_H(g, k, hyperplanes)))
+        return flats[-1][2]
 
     def counted(self, other):
         meets.append((self, other))
@@ -290,23 +382,36 @@ def test_skeleton_meets_only_level_j_faces(monkeypatch, sample):
         def wrapper(skeleton, *args):
             before = len(meets)
             result = original(skeleton, *args)
-            calls.append((name, skeleton.prism.n, args, result, len(meets) - before))
+            calls.append((name, skeleton.prism.n, args, result, len(meets) - before,
+                          skeleton.prism))
             return result
 
         return wrapper
 
     intersect = AffineFlat.intersect
     monkeypatch.setattr(AffineFlat, "intersect", counted)
+    monkeypatch.setattr(lifting, "flat_H", built)
     for name in ("recurrence_holds", "slices"):
         monkeypatch.setattr(lifting._Skeleton, name, measured(name))
-    assert lift_report(sample()).ok
+    P = sample()
+    rep = lift_report(P)
+    assert rep.ok
     recurrences = [c for c in calls if c[0] == "recurrence_holds"]
     slices = [c for c in calls if c[0] == "slices"]
-    assert recurrences and all(made == 0 for *_, made in recurrences)
-    assert slices and all(made == n for _, n, _, _, made in slices)
+    assert recurrences and all(made == 0 for *_, made, _ in recurrences)
+    assert slices and all(made == n for _, n, _, _, made, _ in slices)
     # the line pass ran: below the top level, with distinct points
     assert any(W.codim < n - 1 and not reasons
-               for _, n, (W,), (_, reasons), _ in slices)
+               for _, n, (W,), (_, reasons), _, _ in slices)
+    n = rep.n
+    assert [(g, k) for g, k, _ in flats] == [
+        (g, k) for g in range(1, n) for k in range(g, 2 * n - 1 - g, 2)]
+    seqs = lifting._lift_chain(rep.variant, build_A_sequences(P))[0]
+    pj = parallel_lift(seqs, rep.heights)
+    label = dict(zip(pj.prisms, pj.prism_labels()))
+    flat_of = {id(W): (g, k) for g, k, W in flats}
+    assert [(*flat_of[id(W)], label[prism]) for *_, (W,), _, _, prism in slices] == [
+        (g, k, h) for g, k, _ in flats for h in pj.prism_labels() if abs(h - k) <= g]
 
 
 @pytest.mark.parametrize("sample, chains", [
