@@ -286,18 +286,22 @@ class AffineFlat:
         return flat
 
     def _set(self, num, den, directions) -> None:
-        rows, pivots = linalg.integer_echelon(directions, len(num))
-        for row, p in zip(rows, pivots):
-            a = num[p]
-            if a:
-                d = row[p]
-                num = [d * x - a * y for x, y in zip(num, row)]
-                den *= d
+        rows = pivots = ()
+        if directions:
+            rows, pivots = linalg.integer_echelon(directions, len(num))
+            for row, p in zip(rows, pivots):
+                a = num[p]
+                if a:
+                    d = row[p]
+                    num = [d * x - a * y for x, y in zip(num, row)]
+                    den *= d
+            rows, pivots = tuple(map(tuple, rows)), tuple(pivots)
+        # with no directions (a point) the gcd alone gives the canonical form
         g = gcd(den, *num)
-        self._num = tuple(num) if g == 1 else tuple(x // g for x in num)
+        self._num = tuple(num) if g == 1 else tuple([x // g for x in num])
         self._den = den // g
-        self._rows = tuple(map(tuple, rows))
-        self._pivots = tuple(pivots)
+        self._rows = rows
+        self._pivots = pivots
         self._eqs = None
 
     @property
@@ -351,7 +355,12 @@ class AffineFlat:
         return self._eqs
 
     def contains(self, point: Sequence[Fraction]) -> bool:
-        return self._holds(*linalg.integer_row(tuple(point)))
+        point = tuple(point)
+        if len(point) != self.ambient:
+            raise DimensionMismatch(
+                f"cannot test a point of R^{len(point)} on a flat in R^{self.ambient}"
+            )
+        return self._holds(*linalg.integer_row(point))
 
     def _holds_point(self, p: ProjPoint) -> bool:
         """contains() for the finite point p, read off its coordinates."""
@@ -373,7 +382,10 @@ class AffineFlat:
     def intersect(self, other: "AffineFlat") -> "AffineFlat | None":
         """The meet, by substituting the flat with fewer directions into the
         other's equations: the point (num + sum u_i rows_i) / den lies on the
-        other flat iff u solves a codim x (dim + 1) integer system."""
+        other flat iff u solves a codim x (dim + 1) integer system.  When
+        every u_i is a pivot the meet is the one point u gives, over
+        den * scale and reduced by one gcd, with no kernel rows to read or
+        echelon."""
         self._same_ambient(other, "meet")
         flat, eqs = (self, other) if self.dim <= other.dim else (other, self)
         num, den, rows = flat._num, flat._den, flat._rows
@@ -1062,9 +1074,15 @@ class _Skeleton:
         holds face t as a hyperplane.  Once those two faces cut W in distinct
         points, W cuts the span in a flat that holds both points and meets
         the hyperplane in one point: exactly the line joining the points.
+        The lines are compared by ``_line_key``, read off the points'
+        integers, without building them as flats.
         """
-        j = W.codim
         n = self.prism.n
+        if W.ambient != n:
+            raise DimensionMismatch(
+                f"cannot slice a prism in R^{n} by a flat in R^{W.ambient}"
+            )
+        j = W.codim
         if not 1 <= j <= n - 1:
             return (), (f"codimension {j} out of range",)
         self.level(min(j + 1, n - 1))  # a degenerate face raises first
@@ -1079,10 +1097,34 @@ class _Skeleton:
         if len(points) == n and len(set(points)) != n:
             reasons.append("slice points are not pairwise distinct")
         if j < n - 1 and not reasons:
-            lines = {points[t].span_with(points[(t + 1) % n]) for t in range(n)}
+            lines = {_line_key(points[t], points[(t + 1) % n]) for t in range(n)}
             if len(lines) != n:
                 reasons.append("slice lines are not pairwise distinct")
         return tuple(points), tuple(reasons)
+
+
+def _line_key(a: AffineFlat, b: AffineFlat) -> tuple:
+    """The canonical form ``a.span_with(b)`` gives the line through the
+    distinct points a and b: its primitive direction with a positive lead
+    entry, and its base, zero in the lead coordinate, over a reduced positive
+    denominator."""
+    num, den = a._num, a._den
+    gap = [y * den - x * b._den for x, y in zip(num, b._num)]
+    g = gcd(*gap)
+    for lead, x in enumerate(gap):
+        if x:
+            break
+    if x < 0:
+        g = -g
+    row = tuple([x // g for x in gap])
+    x0 = num[lead]
+    if not x0:
+        return num, den, row
+    d = row[lead]
+    base = [d * x - x0 * y for x, y in zip(num, row)]
+    den *= d
+    g = gcd(den, *base)
+    return tuple([x // g for x in base]), den // g, row
 
 
 def skeleton_recurrence_check(T: Prism, k: int) -> bool:

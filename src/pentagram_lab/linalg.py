@@ -164,17 +164,21 @@ def integer_solution_space(aug: Sequence[Sequence[int]], ncols: int):
     One elimination of the integer rows [A | b] (A has ncols columns).  Returns
     ``(num, den, kernel)``: the solution with free variables 0 is num / den,
     where den > 0 is the lcm of the pivots, and kernel holds the integer
-    kernel rows with their scales, as ``integer_kernel`` gives them.  Returns None
-    if the system is inconsistent.
+    kernel rows with their scales, as ``integer_kernel`` gives them (none,
+    without a call, when every column is a pivot).  Returns None if the
+    system is inconsistent.
     """
     m = list(aug)
     pivots = _eliminate(m, ncols)
-    if any(row[ncols] for row in m[len(pivots):]):
+    rank = len(pivots)
+    if rank < len(m) and any(row[ncols] for row in m[rank:]):
         return None
-    den = lcm(*(row[p] for row, p in zip(m, pivots)))
+    den = lcm(*[row[p] for row, p in zip(m, pivots)])
     num = [0] * ncols
     for row, p in zip(m, pivots):
         num[p] = row[ncols] * (den // row[p])
+    if rank == ncols:
+        return num, den, []
     return num, den, integer_kernel(m, pivots, ncols)
 
 

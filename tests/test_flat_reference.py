@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pentagram_lab import lifting
 from pentagram_lab.corrugated import random_axis_aligned_m
 from pentagram_lab.errors import (
     DegenerateJoin,
@@ -605,6 +606,36 @@ def test_flats_of_different_spaces_raise(monkeypatch):
             x.span_with(y)
 
 
+def test_points_and_prisms_of_other_spaces_raise():
+    flat = AffineFlat.of((1, 2, 3), [(1, 0, 0)])
+    for point in ((1, 2), (1, 2, 3, 4)):
+        with pytest.raises(DimensionMismatch,
+                           match=rf"^cannot test a point of R\^{len(point)} on a flat in R\^3$"):
+            flat.contains(point)
+    # even the whole space holds no point of another
+    with pytest.raises(DimensionMismatch):
+        AffineFlat.of((0, 0), [(1, 0), (0, 1)]).contains((0, 0, 0))
+    # a line of R^3 has codimension 2, out of range for a prism in R^2, and a
+    # plane of R^3 has codimension 1, in range for one; both are refused first
+    T = Prism.between(Joint(((0, 0), (1, 0))), Joint(((0, 1), (1, 1))))
+    for W in (flat, AffineFlat.of((0, 0, 0), [(1, 0, 0), (0, 1, 0)])):
+        with pytest.raises(DimensionMismatch,
+                           match=r"^cannot slice a prism in R\^2 by a flat in R\^3$"):
+            slices_check(W, T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(vectors(n), vectors(n))))
+def test_line_key_is_the_joined_line_form(points):
+    # the key of two distinct points is the canonical form of their join
+    a, b = (AffineFlat.of(p, []) for p in points)
+    if a == b:
+        return
+    line = a.span_with(b)
+    assert lifting._line_key(a, b) == (line._num, line._den, line._rows[0])
+    assert lifting._line_key(b, a) == lifting._line_key(a, b)
+
+
 # ---------------------------------------------------------------------------
 # L2.4 and the slice lines, decided by dimension count, against the meets
 
@@ -710,12 +741,23 @@ COPLANAR_LINES = _case([(0, 0, 0), (1, 0, 0), (2, 0, 0)], (0, 0, 1), ((0, 0, 0),
 # the plane z = x + 2y + 1 cuts three lines in distinct points and lines
 SLICED_PLANE = _case([(0, 0, 0), (1, 0, 0), (0, 1, 0)], (0, 0, 1),
                      ((0, 0, 1), [(1, 0, 1), (0, 1, 2)]))
+# the plane z = 0 cuts three lines of one plane in distinct collinear points,
+# so the three slice lines are one line
+COLLINEAR_SLICE = _case([(0, 0, 0), (1, 0, 0), (2, 0, 1)], (0, 0, 1),
+                        ((0, 0, 0), [(1, 0, 0), (0, 1, 0)]))
+# the hyperplane w = 0 cuts four lines in the corners of a unit square, whose
+# opposite sides are distinct parallel slice lines
+SQUARE_SLICE = _case([(0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 0, 1), (0, 1, 0, 0)],
+                     (0, 0, 0, 1),
+                     ((0, 0, 0, 0), [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]))
 
 
 @settings(max_examples=200, deadline=None)
 @given(skeleton_cases())
 @example(COPLANAR_LINES)
 @example(SLICED_PLANE)
+@example(COLLINEAR_SLICE)
+@example(SQUARE_SLICE)
 def test_dimension_count_verdicts_match_meets(case):
     bases, tops, (w_base, w_dirs) = case
     try:
@@ -737,3 +779,17 @@ def test_dimension_count_examples_cover_both_verdicts():
     assert skeleton_recurrence_check(T, 2) is True
     report = slices_check(AffineFlat.of(*W), T)
     assert report.ok and report.level == 1 < T.n - 1
+
+
+def test_slice_lines_are_told_apart_by_base_and_direction():
+    # distinct points whose consecutive lines coincide fail, and distinct
+    # parallel lines do not
+    bases, tops, W = COLLINEAR_SLICE
+    T = Prism.between(Joint(tuple(bases)), Joint(tuple(tops)))
+    assert slices_check(AffineFlat.of(*W), T) == SlicesReport(
+        False, 1, None, ("slice lines are not pairwise distinct",))
+    bases, tops, W = SQUARE_SLICE
+    T = Prism.between(Joint(tuple(bases)), Joint(tuple(tops)))
+    corners = ((0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 0, 0))
+    square = tuple(tuple(map(F, p)) for p in corners)
+    assert slices_check(AffineFlat.of(*W), T) == SlicesReport(True, 1, square, ())

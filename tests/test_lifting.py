@@ -414,6 +414,46 @@ def test_skeleton_meets_only_level_j_faces(monkeypatch, sample):
         (g, k, h) for g, k, _ in flats for h in pj.prism_labels() if abs(h - k) <= g]
 
 
+@pytest.mark.parametrize("sample", [
+    lambda: random_axis_aligned(5, seed=5),
+    lambda: random_axis_aligned_mirror(5, seed=5),
+], ids=["planar_n5", "mirror_n5"])
+def test_point_cuts_build_no_flats(monkeypatch, sample):
+    # L2.4 has built every skeleton level before the slicing pass; once W's
+    # and the faces' equation rows are read, each point cut and the slice
+    # line comparison make no span, echelon or kernel
+    made, slicing, sliced = [], [], []
+
+    def counted(name, original):
+        def wrapper(*args):
+            if slicing:
+                made.append(name)
+            return original(*args)
+
+        return wrapper
+
+    def slices(skeleton, W):
+        W._equation_rows()
+        for face in skeleton.level(W.codim):
+            face._equation_rows()
+        slicing.append(W)
+        try:
+            sliced.append(real(skeleton, W))
+        finally:
+            slicing.pop()
+        return sliced[-1]
+
+    real = lifting._Skeleton.slices
+    monkeypatch.setattr(lifting._Skeleton, "slices", slices)
+    monkeypatch.setattr(AffineFlat, "span_with", counted("span_with", AffineFlat.span_with))
+    for name in ("integer_echelon", "integer_kernel"):
+        monkeypatch.setattr(lifting.linalg, name, counted(name, getattr(lifting.linalg, name)))
+    rep = lift_report(sample())
+    assert rep.ok and rep.n == 5
+    assert len(sliced) > 2 * rep.n and all(not reasons for _, reasons in sliced)
+    assert made == []
+
+
 @pytest.mark.parametrize("sample, chains", [
     (lambda: random_axis_aligned(5, seed=5), 1),
     (lambda: random_axis_aligned_m(3, 3, seed=0), 1),
