@@ -17,10 +17,18 @@ variants (planar, corrugated, mirror with even or odd n):
      skeletons Sigma_k T of the prisms turn incidence claims into exact
      rank/solve computations: slicing, prism independence, and finally the
      collapse line H_{n-1,n-1}, whose projection carries the final mating
-     points together with the common centroid.  ``lift_report`` builds the
-     skeletons once for L2.4, then one slicing pass builds each H_{g,k}
-     and each slice once and decides L2.5 and L2.6; L2.8 reads its line
-     from the same pass.
+     points together with the common centroid.  On a lift that L2.2
+     accepted, ``lift_report`` decides L2.4 from one determinant per prism
+     and L2.5 and L2.6 from slice mates: a slice of H_{g,k} is the
+     positional mating of the slices of H_{g-1,k-1} and H_{g-1,k+1}
+     (Lemma 3.2), each point one meet of two chords, and L2.8's line is the
+     join of two slice points of H_{n-1,n-1}; no flat is met and no
+     skeleton built.  Where a premise of that pass fails, the report runs
+     the skeletons for L2.4 and the slicing pass, which builds each H_{g,k}
+     and each slice once and decides L2.5 and L2.6, and L2.8 reads its line
+     from the same pass.  The public checks always run that path.  After
+     L2.2 nothing in L2.4-L2.6 raises, so the report runs the mating chain
+     (L2.7) first.
 
 Tags use two vocabularies.  Planar/corrugated entries carry integer vertex
 labels, kept unreduced (monotone) so that a mating's child label is the plain
@@ -162,6 +170,17 @@ def _differences(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return [[x - y for x, y in zip(row, first)] for row in rows[1:]]
 
 
+def _reduced(num: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    """The point num / den as the reduced pair (numerators, positive
+    denominator): the canonical form of a point ``AffineFlat``."""
+    g = gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return tuple(num), den
+    return tuple([x // g for x in num]), den // g
+
+
 class Joint(_Record):
     """n affinely independent points in R^n, spanning a hyperplane.
 
@@ -297,9 +316,7 @@ class AffineFlat:
                     den *= d
             rows, pivots = tuple(map(tuple, rows)), tuple(pivots)
         # with no directions (a point) the gcd alone gives the canonical form
-        g = gcd(den, *num)
-        self._num = tuple(num) if g == 1 else tuple([x // g for x in num])
-        self._den = den // g
+        self._num, self._den = _reduced(num, den)
         self._rows = rows
         self._pivots = pivots
         self._eqs = None
@@ -1097,19 +1114,21 @@ class _Skeleton:
         if len(points) == n and len(set(points)) != n:
             reasons.append("slice points are not pairwise distinct")
         if j < n - 1 and not reasons:
-            lines = {_line_key(points[t], points[(t + 1) % n]) for t in range(n)}
+            pairs = [(p._num, p._den) for p in points]
+            lines = {_line_key(pairs[t - 1], pairs[t]) for t in range(n)}
             if len(lines) != n:
                 reasons.append("slice lines are not pairwise distinct")
         return tuple(points), tuple(reasons)
 
 
-def _line_key(a: AffineFlat, b: AffineFlat) -> tuple:
-    """The canonical form ``a.span_with(b)`` gives the line through the
-    distinct points a and b: its primitive direction with a positive lead
-    entry, and its base, zero in the lead coordinate, over a reduced positive
-    denominator."""
-    num, den = a._num, a._den
-    gap = [y * den - x * b._den for x, y in zip(num, b._num)]
+def _line_key(a: tuple, b: tuple) -> tuple:
+    """The canonical form ``span_with`` gives the line through the distinct
+    points a and b, each a (numerators, positive denominator) pair in
+    lowest terms: the line's primitive direction with a positive lead
+    entry, and its base, zero in the lead coordinate, over a reduced
+    positive denominator."""
+    (num, den), (num_b, den_b) = a, b
+    gap = [y * den - x * den_b for x, y in zip(num, num_b)]
     g = gcd(*gap)
     for lead, x in enumerate(gap):
         if x:
@@ -1122,9 +1141,7 @@ def _line_key(a: AffineFlat, b: AffineFlat) -> tuple:
         return num, den, row
     d = row[lead]
     base = [d * x - x0 * y for x, y in zip(num, row)]
-    den *= d
-    g = gcd(den, *base)
-    return tuple([x // g for x in base]), den // g, row
+    return (*_reduced(base, den * d), row)
 
 
 def skeleton_recurrence_check(T: Prism, k: int) -> bool:
@@ -1262,6 +1279,164 @@ def prism_independence_check(pj: Polyjoint) -> tuple[bool, tuple[str, ...]]:
 
 
 # ---------------------------------------------------------------------------
+# the mated pass: L2.4-L2.6 and the L2.8 line without flats
+
+
+class _Fallback(Exception):
+    """A premise of the mated pass fails; the message names it."""
+
+
+def _spans(T: Prism) -> bool:
+    """Whether T's n lines span R^n: det[b_1-b_0, ..., b_{n-1}-b_0, direction]
+    is not zero.  Then every window of at most n-1 lines spans a face of
+    full dimension, so ``recurrence_holds(n-1)`` is True; with a zero
+    determinant it is False or a face raises ``DegenerateSpan``."""
+    return linalg.integer_det([*_differences(T._joint._rows), T._direction]) != 0
+
+
+def _chords(points, where: str) -> list[tuple]:
+    """(A, a, U, i) per slot t: point t is A / a, U is a direction of the
+    chord to point t+1 and U[i] its first nonzero entry."""
+    n = len(points)
+    chords = []
+    for t, (A, a) in enumerate(points):
+        B, b = points[(t + 1) % n]
+        U = [a * y - b * x for x, y in zip(A, B)]
+        i = next((i for i, x in enumerate(U) if x), None)
+        if i is None:
+            raise _Fallback(f"{where}: slice points {t} and {(t + 1) % n} coincide")
+        chords.append((A, a, U, i))
+    return chords
+
+
+def _chord_meet(p: tuple, q: tuple, where: str) -> tuple[tuple[int, ...], int]:
+    """The single finite meet of chords p and q, by two 2x2 minors and a
+    check of every coordinate."""
+    A, a, U, i = p
+    C, c, W, _ = q
+    ui, wi = U[i], W[i]
+    for j, (u, w) in enumerate(zip(U, W)):
+        minor = ui * w - u * wi
+        if minor:
+            break
+    else:
+        raise _Fallback(f"{where}: parallel or identical chords")
+    # A/a + s U = C/c + t W in coordinates i and j, with s = lam / (minor a c)
+    # and t = mu / (minor a c); then every coordinate must agree
+    ri, rj = a * C[i] - c * A[i], a * C[j] - c * A[j]
+    lam = ri * W[j] - wi * rj
+    mu = ri * U[j] - ui * rj
+    ca, cc = minor * a, minor * c
+    num = [cc * x + lam * u for x, u in zip(A, U)]
+    if num != [ca * z + mu * w for z, w in zip(C, W)]:
+        raise _Fallback(f"{where}: skew chords")
+    return _reduced(num, cc * a)
+
+
+def _mate_levels(pj: Polyjoint, normals: Sequence[Vec]):
+    """Yield (g, slices) for g = 1, ..., n-1, where slices[k, h] are the cuts
+    of H_{g,k} with the level-g faces of prism h, in face order, as
+    ``_reduced`` pairs: every k and every prism, since level g+1 reaches
+    one prism further than level g.
+
+    pj must be a lift that L2.2 accepted, with ``normals`` its joints'
+    normals; then every H_{g,k} has codimension g.  Raises ``_Fallback``
+    where a premise fails.  First every prism's lines must span R^n
+    (``_spans``; after L2.2 they always do, as consecutive joints span
+    distinct hyperplanes), so every face has its dimension.  Level 1 cuts
+    each joint hyperplane with each prism line.  Above it, H_{g,k} is
+    H_{g-1,k-1} ^ H_{g-1,k+1} (Lemma 3.2): once a parent's points t and
+    t+1 differ, the parent meets level-g face t, which holds its faces t
+    and t+1 as hyperplanes, in the line through them.  So where the two
+    parents' lines meet in one finite point, that point is the cut.
+    """
+    n = pj.n
+    labels = pj.prism_labels()
+    for h, T in zip(labels, pj.prisms):
+        if not _spans(T):
+            raise _Fallback(f"prism {h}: its lines do not span R^{n}")
+    level = {}
+    for k, J, normal in zip(pj.seq_labels, pj.joints, normals):
+        # |J| = {x : N . x = c / s}; line l of a prism is row_l / scale + sigma v
+        N = linalg.integer_row(normal)[0]
+        c, s = sum(map(mul, N, J._rows[0])), J._scale
+        for h, T in zip(labels, pj.prisms):
+            rows, scale, v = T._joint._rows, T._joint._scale, T._direction
+            nv = sum(map(mul, N, v))
+            if not nv:
+                raise _Fallback(f"H(1,{k}) is parallel to prism {h}")
+            den, f = scale * s * nv, s * nv
+            points = []
+            for row in rows:
+                # sigma = step / (s scale nv) puts the point on |J|
+                step = c * scale - s * sum(map(mul, N, row))
+                points.append(_reduced([f * x + step * y for x, y in zip(row, v)], den))
+            level[k, h] = points
+    yield 1, level
+    for g in range(2, n):
+        chords = {key: _chords(points, f"H({g - 1},{key[0]}) vs prism {key[1]}")
+                  for key, points in level.items()}
+        level = {}
+        for k in range(g, 2 * (n - 1) - g + 1, 2):
+            for h in labels:
+                where = f"H({g},{k}) vs prism {h}"
+                level[k, h] = [_chord_meet(p, q, where)
+                               for p, q in zip(chords[k - 1, h], chords[k + 1, h])]
+        yield g, level
+
+
+def _mated_pass(pj: Polyjoint, normals: Sequence[Vec]) -> AffineFlat:
+    """Decide L2.4, L2.5 and L2.6 of a lift that L2.2 accepted from the
+    mates of ``_mate_levels``, and return the L2.8 line H_{n-1,n-1} as the
+    join of two of its slice points.
+
+    It returns only where every check holds: each in-reach slice
+    (|h-k| <= g) has n distinct points and, below the top level, n distinct
+    lines, and the prisms in reach of one H_{g,k} cut the same set.
+    Otherwise, or where ``_mate_levels`` gives up, it raises ``_Fallback``.
+    """
+    n = pj.n
+    labels = pj.prism_labels()
+    for g, level in _mate_levels(pj, normals):
+        for k in range(g, 2 * (n - 1) - g + 1, 2):
+            seen = None
+            for h in labels:
+                if abs(h - k) > g:
+                    continue
+                points = level[k, h]
+                where = f"H({g},{k}) vs prism {h}"
+                if len(set(points)) != n:
+                    raise _Fallback(f"{where}: repeated slice point")
+                if g < n - 1 and len({_line_key(points[t - 1], points[t])
+                                      for t in range(n)}) != n:
+                    raise _Fallback(f"{where}: repeated slice line")
+                if seen is None:
+                    seen = set(points)
+                elif set(points) != seen:
+                    raise _Fallback(f"{where}: slice set differs")
+    (A, a), (B, b) = points[:2]
+    return AffineFlat._canonical(A, a, [[y * a - x * b for x, y in zip(A, B)]])
+
+
+def _sliced_verdicts(pj: Polyjoint, normals: Sequence[Vec]):
+    """(L2.4 ok, L2.5 verdict, L2.6 verdict, L2.8 line or None) of a lift
+    that L2.2 accepted: from the mated pass, or, where a premise of it
+    fails, from the skeletons and the slicing pass, which keep every
+    reason, its order and every raised error."""
+    try:
+        line = _mated_pass(pj, normals)
+    except _Fallback:
+        skeletons = _skeletons(pj)
+        recurrence_ok = all(
+            skeleton.recurrence_holds(pj.n - 1) for skeleton in skeletons.values()
+        )
+        # L2.4 has built every skeleton level, so the pass raises no DegenerateSpan
+        H, sliced, indep = _slicing_pass(pj, skeletons)
+        return recurrence_ok, sliced, indep, H.get((pj.n - 1, pj.n - 1))
+    return True, (True, ()), (True, ()), line
+
+
+# ---------------------------------------------------------------------------
 # collapse line and the full report
 
 
@@ -1359,6 +1534,7 @@ def lift_report(P, seed: int = 0, full: bool = False) -> LiftReport:
     The canonical L0 heights are tried first; if the lift degenerates or
     fails general position, seeded random heights are retried up to
     ``_HEIGHT_RETRIES`` times, and the heights actually used are reported.
+    L2.4-L2.6 and L2.8's line come from ``_sliced_verdicts``.
     """
     variant = _variant(P)[0]
     seqs = build_A_sequences(P)
@@ -1407,16 +1583,14 @@ def lift_report(P, seed: int = 0, full: bool = False) -> LiftReport:
         )
     )
 
-    skeletons = _skeletons(pj)
-    recurrence_ok = all(
-        skeleton.recurrence_holds(n - 1) for skeleton in skeletons.values()
-    )
+    # the mating chain first: after L2.2 nothing L2.4-L2.6 compute can raise,
+    # so a degenerate mate raises before any slicing work, as it would after
+    orbit, final = _mating_orbit(_OrbitContext(P), seqs, full)
+    recurrence_ok, (sliced_ok, sliced_failures), (indep_ok, indep_failures), line = (
+        _sliced_verdicts(pj, normals))
     checks.append(
         LiftCheck("L2.4", recurrence_ok, "skeleton intersection recurrence")
     )
-
-    # L2.4 has built every skeleton level, so the pass raises no DegenerateSpan
-    H, (sliced_ok, sliced_failures), (indep_ok, indep_failures) = _slicing_pass(pj, skeletons)
     checks.append(
         LiftCheck(
             "L2.5", sliced_ok,
@@ -1432,12 +1606,10 @@ def lift_report(P, seed: int = 0, full: bool = False) -> LiftReport:
         )
     )
 
-    orbit, final = _mating_orbit(_OrbitContext(P), seqs, full)
     checks.append(
         LiftCheck("L2.7", orbit.ok, "mating chain matches the map orbit")
     )
 
-    line = H.get((n - 1, n - 1))
     if line is None:  # raises the NonTransverse the pass recorded
         line = flat_H(n - 1, n - 1, pj.joint_flats())
     collapse = _collapse_line(pj, line, final, expected)

@@ -581,8 +581,13 @@ def test_lift_report_meets_match_reference(monkeypatch, sample):
         met.append((self, other, meet))
         return meet
 
+    def fall_back(pj, normals):
+        raise lifting._Fallback("the slicing pass is under test")
+
+    # a successful report makes no meets, so take the path it falls back to
     original = AffineFlat.intersect
     monkeypatch.setattr(AffineFlat, "intersect", recorded)
+    monkeypatch.setattr(lifting, "_mated_pass", fall_back)
     assert lift_report(sample()).ok
     assert met
     for a, b, meet in met:
@@ -632,6 +637,7 @@ def test_line_key_is_the_joined_line_form(points):
     if a == b:
         return
     line = a.span_with(b)
+    a, b = (a._num, a._den), (b._num, b._den)
     assert lifting._line_key(a, b) == (line._num, line._den, line._rows[0])
     assert lifting._line_key(b, a) == lifting._line_key(a, b)
 
@@ -779,6 +785,43 @@ def test_dimension_count_examples_cover_both_verdicts():
     assert skeleton_recurrence_check(T, 2) is True
     report = slices_check(AffineFlat.of(*W), T)
     assert report.ok and report.level == 1 < T.n - 1
+
+
+# four lines of R^4 whose bases 0, 1 and 2 are collinear: the level-3 face
+# through lines 0-2 is a plane
+DEPENDENT_FACE = _case([(0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0), (0, 1, 0, 0)],
+                       (0, 0, 0, 1), ((0, 0, 0, 0), [(1, 0, 0, 0)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(skeleton_cases())
+@example(COPLANAR_LINES)
+@example(SLICED_PLANE)
+@example(DEPENDENT_FACE)
+def test_spanning_determinant_decides_the_recurrence(case):
+    # the mated pass reads L2.4 off one determinant per prism: nonzero gives
+    # recurrence_holds(n-1) True, and zero gives False or a DegenerateSpan
+    bases, tops, _ = case
+    try:
+        T = Prism.between(Joint(tuple(bases)), Joint(tuple(tops)))
+    except DegenerateSpan:
+        return
+    outcome = _outcome(skeleton_recurrence_check, T, T.n - 1)
+    if lifting._spans(T):
+        assert outcome is True
+    else:
+        assert outcome is False or (type(outcome) is tuple and outcome[0] is DegenerateSpan)
+
+
+def test_spanning_determinant_examples_cover_each_outcome():
+    outcomes = []
+    for bases, tops, _ in (SLICED_PLANE, COPLANAR_LINES, DEPENDENT_FACE):
+        T = Prism.between(Joint(tuple(bases)), Joint(tuple(tops)))
+        outcomes.append((lifting._spans(T), _outcome(skeleton_recurrence_check, T, T.n - 1)))
+    assert outcomes == [
+        (True, True), (False, False),
+        (False, (DegenerateSpan, "level 3 face 0 has dimension 2")),
+    ]
 
 
 def test_slice_lines_are_told_apart_by_base_and_direction():

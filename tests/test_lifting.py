@@ -363,7 +363,14 @@ def test_lift_report_computes_normals_once(monkeypatch):
 def test_skeleton_meets_only_level_j_faces(monkeypatch, sample):
     # L2.4 is a dimension count and the slice lines are joins of the slice
     # points: a slice makes one meet per level-j face, the recurrence none.
-    # One pass builds each H_{g,k} once and slices it once per prism in reach
+    # One pass builds each H_{g,k} once and slices it once per prism in reach.
+    # A successful lift_report takes the mated pass, so the skeleton checks
+    # and prism_independence_check run this path on the report's lift
+    P = sample()
+    rep = lift_report(P)
+    assert rep.ok
+    seqs = lifting._lift_chain(rep.variant, build_A_sequences(P))[0]
+    pj = parallel_lift(seqs, rep.heights)
     meets = []
     calls = []
     flats = []
@@ -393,9 +400,8 @@ def test_skeleton_meets_only_level_j_faces(monkeypatch, sample):
     monkeypatch.setattr(lifting, "flat_H", built)
     for name in ("recurrence_holds", "slices"):
         monkeypatch.setattr(lifting._Skeleton, name, measured(name))
-    P = sample()
-    rep = lift_report(P)
-    assert rep.ok
+    assert all(lifting.skeleton_recurrence_check(T, pj.n - 1) for T in pj.prisms)
+    assert prism_independence_check(pj) == (True, ())
     recurrences = [c for c in calls if c[0] == "recurrence_holds"]
     slices = [c for c in calls if c[0] == "slices"]
     assert recurrences and all(made == 0 for *_, made, _ in recurrences)
@@ -406,8 +412,6 @@ def test_skeleton_meets_only_level_j_faces(monkeypatch, sample):
     n = rep.n
     assert [(g, k) for g, k, _ in flats] == [
         (g, k) for g in range(1, n) for k in range(g, 2 * n - 1 - g, 2)]
-    seqs = lifting._lift_chain(rep.variant, build_A_sequences(P))[0]
-    pj = parallel_lift(seqs, rep.heights)
     label = dict(zip(pj.prisms, pj.prism_labels()))
     flat_of = {id(W): (g, k) for g, k, W in flats}
     assert [(*flat_of[id(W)], label[prism]) for *_, (W,), _, _, prism in slices] == [
@@ -419,9 +423,13 @@ def test_skeleton_meets_only_level_j_faces(monkeypatch, sample):
     lambda: random_axis_aligned_mirror(5, seed=5),
 ], ids=["planar_n5", "mirror_n5"])
 def test_point_cuts_build_no_flats(monkeypatch, sample):
-    # L2.4 has built every skeleton level before the slicing pass; once W's
-    # and the faces' equation rows are read, each point cut and the slice
-    # line comparison make no span, echelon or kernel
+    # once the skeleton levels are built and W's and the faces' equation rows
+    # are read, each point cut and the slice line comparison of
+    # fully_sliced_check's pass make no span, echelon or kernel
+    P = sample()
+    rep = lift_report(P)
+    seqs = lifting._lift_chain(rep.variant, build_A_sequences(P))[0]
+    pj = parallel_lift(seqs, rep.heights)
     made, slicing, sliced = [], [], []
 
     def counted(name, original):
@@ -434,6 +442,7 @@ def test_point_cuts_build_no_flats(monkeypatch, sample):
 
     def slices(skeleton, W):
         W._equation_rows()
+        skeleton.level(min(W.codim + 1, skeleton.prism.n - 1))
         for face in skeleton.level(W.codim):
             face._equation_rows()
         slicing.append(W)
@@ -448,10 +457,44 @@ def test_point_cuts_build_no_flats(monkeypatch, sample):
     monkeypatch.setattr(AffineFlat, "span_with", counted("span_with", AffineFlat.span_with))
     for name in ("integer_echelon", "integer_kernel"):
         monkeypatch.setattr(lifting.linalg, name, counted(name, getattr(lifting.linalg, name)))
-    rep = lift_report(sample())
+    assert fully_sliced_check(pj) == (True, ())
     assert rep.ok and rep.n == 5
     assert len(sliced) > 2 * rep.n and all(not reasons for _, reasons in sliced)
     assert made == []
+
+
+@pytest.mark.parametrize("sample", [
+    lambda: random_axis_aligned(5, seed=5),
+    lambda: random_axis_aligned_mirror(5, seed=5),
+    lambda: random_axis_aligned_m(3, 3, seed=0),
+    lambda: random_axis_aligned(7, seed=3),
+], ids=["planar_n5", "mirror_n5", "corrugated_3_3", "planar_n7"])
+def test_mated_lift_report_builds_no_flats(monkeypatch, sample):
+    # on the mated pass a report builds no H-flat and no skeleton, and makes
+    # no meet of flats; the report is the one the slicing pass gives
+    P = sample()
+    calls = []
+
+    def recorded(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
+
+    def fall_back(pj, normals):
+        raise lifting._Fallback("the slicing pass is under test")
+
+    monkeypatch.setattr(lifting, "flat_H", recorded("flat_H", lifting.flat_H))
+    monkeypatch.setattr(AffineFlat, "intersect", recorded("intersect", AffineFlat.intersect))
+    for name in ("slices", "recurrence_holds"):
+        monkeypatch.setattr(lifting._Skeleton, name,
+                            recorded(name, getattr(lifting._Skeleton, name)))
+    rep = lift_report(P)
+    assert rep.ok and calls == []
+    monkeypatch.setattr(lifting, "_mated_pass", fall_back)
+    assert lift_report(P) == rep
+    assert {"flat_H", "intersect", "slices", "recurrence_holds"} <= set(calls)
 
 
 @pytest.mark.parametrize("sample, chains", [
