@@ -202,9 +202,10 @@ def collapse_orbit_m(P: AxisAlignedM) -> CollapseReportM:
     """n-1 steps of T_m with a corrugatedness certificate for each step's input.
 
     A step that returns has met every quadruple of its input at rank exactly
-    3 (``meet_coplanar_lines`` raises at rank 4 and at rank <= 2), so each of
-    the n-1 polygons the map acts on is certified by the step that consumed
-    it.  The final all-equal state is no longer corrugated (rank drops to 1).
+    3 (``meet_coplanar_lines`` raises at rank 4, skew lines, and at rank <= 2,
+    a degenerate or doubled line), so each of the n-1 polygons the map acts
+    on is certified by the step that consumed it.  The final all-equal state
+    is no longer corrugated (rank drops to 1).
     """
     n = P.n
     centroid = center_of_mass_m(P.underlying)

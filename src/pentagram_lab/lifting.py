@@ -6,8 +6,9 @@ variants (planar, corrugated, mirror with even or odd n):
   1. ``build_A_sequences`` extracts the tagged n-point sequences A_1, A_3, ...
      whose chained matings reproduce the map orbit.  Sequence points are the
      map's own ``ProjPoint``s and every mate is a homogeneous integer point
-     (a cross product of joins in P^2, an integer kernel row in P^m), so the
-     chain and its comparison with the orbit (L2.7) run on canonical ints.
+     (``projcore.homogeneous_meet``: a cross product of joins in P^2, 3x3
+     minors and a check of every coordinate in P^m), so the chain and its
+     comparison with the orbit (L2.7) run on canonical ints.
   2. ``parallel_lift`` raises them into R^n by appending a shared per-position
      height row, giving a Polyjoint: joints (affinely independent n-tuples)
      whose consecutive pairs form prisms of parallel lines.  Joints and prisms
@@ -74,7 +75,7 @@ from .errors import (
 from .linalg import Vec
 from .mirror import AxisAlignedMirrorPair, MirrorPair, mp_step
 from .pentagram2d import AxisAligned2, pentagram_step
-from .projcore import ProjPoint, affine_mean, reflect_r
+from .projcore import IDENTICAL, SKEW, ProjPoint, affine_mean, homogeneous_meet, reflect_r
 from .rng import SplitMix64
 
 MirrorTag = tuple[int, bool]
@@ -742,11 +743,10 @@ def line_meet(p0: Vec, p1: Vec, q0: Vec, q1: Vec) -> Vec:
 def _meet(p0: ProjPoint, p1: ProjPoint, q0: ProjPoint, q1: ProjPoint) -> ProjPoint:
     """The finite meet of lines p0p1 and q0q1 through finite points of P^d.
 
-    In P^2 the meet is (p0 x p1) x (q0 x q1).  In P^d an integer kernel row
-    (lam, mu, ...) of the columns p0, p1, -q0, -q1 gives it as
-    lam p0 + mu p1; the kernel is empty for skew lines.  Identical lines
-    (a zero cross product, or a kernel of dimension two) and parallel lines
-    (a meet with w = 0) have no single finite meet.
+    ``projcore.homogeneous_meet`` classifies the lines (in P^2 it is
+    (p0 x p1) x (q0 x q1)).  Skew lines raise NonCoplanarDiagonals;
+    identical lines, and parallel lines (a meet with w = 0), have no single
+    finite meet.
     """
     a, b, c, e = p0.coords, p1.coords, q0.coords, q1.coords
     size = len(a)
@@ -754,24 +754,10 @@ def _meet(p0: ProjPoint, p1: ProjPoint, q0: ProjPoint, q1: ProjPoint) -> ProjPoi
         raise ValueError("points of different dimensions")
     if a == b or c == e:
         raise DegenerateJoin("cannot join coincident points")
-    if size == 3:
-        a0, a1, a2 = a
-        b0, b1, b2 = b
-        c0, c1, c2 = c
-        e0, e1, e2 = e
-        l0, l1, l2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
-        m0, m1, m2 = c1 * e2 - c2 * e1, c2 * e0 - c0 * e2, c0 * e1 - c1 * e0
-        meet = (l1 * m2 - l2 * m1, l2 * m0 - l0 * m2, l0 * m1 - l1 * m0)
-    else:
-        system = [[x, y, -z, -t] for x, y, z, t in zip(a, b, c, e)]
-        kernel = linalg.integer_kernel(*linalg.integer_echelon(system, 4), 4)
-        if not kernel:
-            raise NonCoplanarDiagonals("lines are skew")
-        if len(kernel) > 1:
-            raise DegenerateMeet(_NO_SINGLE_MEET)
-        (lam, mu, _, _), _ = kernel[0]
-        meet = tuple(lam * x + mu * y for x, y in zip(a, b))
-    if not meet[-1]:
+    meet = homogeneous_meet(a, b, c, e)
+    if meet is SKEW:
+        raise NonCoplanarDiagonals("lines are skew")
+    if meet is IDENTICAL or not meet[-1]:
         raise DegenerateMeet(_NO_SINGLE_MEET)
     return ProjPoint(meet)
 

@@ -17,8 +17,8 @@ call first, so they reach the constructor as int tuples); it reads int and
 parsed in ``serde``.  Past the constructors, joins, meets, harmonic
 solves and reflections read the int coordinates, form the result entries
 inline, and hand an int 2- or 3-tuple to the constructor, which divides out
-the content with one ``gcd`` and no ``Fraction``.  Coplanar meets in P^m
-eliminate over ints too (``linalg.integer_echelon``), ``affine_mean``
+the content with one ``gcd`` and no ``Fraction``.  Lines of P^m meet in
+``homogeneous_meet``, by 3x3 minors and no elimination, ``affine_mean``
 averages over the lcm of the homogenizing coordinates, and the printed forms
 (``format_p1``, ``format_ratio``) are read from the canonical ints.  Only
 the affine, P^1 and cross-ratio read-outs return ``Fraction`` values;
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
@@ -350,12 +351,67 @@ def orbit(start, step: Callable, steps: int) -> list:
     return states
 
 
+SKEW = "skew"
+IDENTICAL = "identical"
+
+
+def homogeneous_meet(a: Sequence[int], b: Sequence[int], c: Sequence[int],
+                     d: Sequence[int]) -> tuple[int, ...] | str:
+    """The meet of lines ab and cd of P^m (int coordinate tuples of one
+    length, a != b and c != d as points): an unreduced int tuple, ``SKEW``
+    or ``IDENTICAL``.
+
+    On the first coordinate triple I where [a,c,d]_I or [b,c,d]_I (3x3
+    minors sharing the 2x2 minors of c, d) is nonzero, X = [a,c,d]_I b -
+    [b,c,d]_I a lies on ab, Y = [a,b,d]_I c - [a,b,c]_I d on cd, and both
+    project to (a x b) x (c x d) on I.  This is exact, by the rank of a, b,
+    c, d:
+
+    - rank 3: the nonzero minor makes the projection to I injective on the
+      span, so X = Y != 0 is the meet;
+    - rank 4: span(a, b) and span(c, d) meet only in 0, and X != 0, so X != Y;
+    - rank 2: every 3x3 minor vanishes, so there is no such I (at rank >= 3
+      one of a, b lies off the line cd, so there is one).
+
+    In P^2, where the rank is at most 3, X is written out with no Y check;
+    in P^1 there is no triple.
+    """
+    if len(a) == 3:
+        a0, a1, a2 = a
+        b0, b1, b2 = b
+        c0, c1, c2 = c
+        d0, d1, d2 = d
+        l0, l1, l2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+        m0, m1, m2 = c1 * d2 - c2 * d1, c2 * d0 - c0 * d2, c0 * d1 - c1 * d0
+        meet = (l1 * m2 - l2 * m1, l2 * m0 - l0 * m2, l0 * m1 - l1 * m0)
+        return meet if any(meet) else IDENTICAL
+    for i, j, k in combinations(range(len(a)), 3):
+        ci, cj, ck = c[i], c[j], c[k]
+        di, dj, dk = d[i], d[j], d[k]
+        jk, ik, ij = cj * dk - ck * dj, ci * dk - ck * di, ci * dj - cj * di
+        acd = a[i] * jk - a[j] * ik + a[k] * ij
+        bcd = b[i] * jk - b[j] * ik + b[k] * ij
+        if acd or bcd:
+            break
+    else:
+        return IDENTICAL
+    ai, aj, ak = a[i], a[j], a[k]
+    bi, bj, bk = b[i], b[j], b[k]
+    jk, ik, ij = aj * bk - ak * bj, ai * bk - ak * bi, ai * bj - aj * bi
+    abc = ci * jk - cj * ik + ck * ij
+    abd = di * jk - dj * ik + dk * ij
+    meet = [acd * y - bcd * x for x, y in zip(a, b)]
+    if meet != [abd * z - abc * t for z, t in zip(c, d)]:
+        return SKEW
+    return tuple(meet)
+
+
 def meet_coplanar_lines(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint) -> ProjPoint:
     """Intersection of lines ab and cd in P^m, for coplanar quadruples.
 
-    Solves lambda*a + mu*b = rho*c + sigma*d exactly.  The four points must
-    span a projective plane (rank 3); lines that span all of a 3-space raise
-    NonCoplanarDiagonals, identical lines raise DegenerateMeet.
+    The four points must span a projective plane (rank 3): ``homogeneous_meet``
+    decides the rank and gives the meet.  Lines that span all of a 3-space
+    raise NonCoplanarDiagonals, identical lines raise DegenerateMeet.
     """
     dim = a.dim
     for p in (b, c, d):
@@ -365,16 +421,12 @@ def meet_coplanar_lines(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint) 
         raise DimensionMismatch("meet_coplanar_lines needs ambient dimension >= 2")
     if a == b or c == d:
         raise DegenerateJoin("meet_coplanar_lines needs two genuine lines")
-    # columns a, b, -c, -d: the kernel has dimension 4 - rank(a, b, c, d),
-    # and an integer kernel row gives a multiple of the meet as lambda*a + mu*b
-    system = [[x, y, -z, -t] for x, y, z, t in zip(a.coords, b.coords, c.coords, d.coords)]
-    kernel = linalg.integer_kernel(*linalg.integer_echelon(system, 4), 4)
-    if not kernel:
+    meet = homogeneous_meet(a.coords, b.coords, c.coords, d.coords)
+    if meet is SKEW:
         raise NonCoplanarDiagonals("the two lines are skew")
-    if len(kernel) > 1:
+    if meet is IDENTICAL:
         raise DegenerateMeet("the two lines coincide")
-    (lam, mu, _, _), _ = kernel[0]
-    return ProjPoint(tuple(lam * x + mu * y for x, y in zip(a.coords, b.coords)))
+    return ProjPoint(meet)
 
 
 def _det2(p: ProjPoint, q: ProjPoint) -> int:

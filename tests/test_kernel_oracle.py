@@ -194,6 +194,42 @@ def test_coincident_lines_raise_like_oracle(quad):
     assert library_meet(*quad) == oracle_meet(*quad)
 
 
+@st.composite
+def zero_led_quadruples(draw):
+    """Coplanar, skew and coincident quadruples in P^5 and P^6 whose first
+    coordinates are zero in all four points, so every 3x3 minor on a
+    coordinate triple through them vanishes and the meet must be read off a
+    later triple."""
+    m = draw(st.integers(5, 6))
+    zeros = draw(st.integers(1, m - 3))
+    tail = st.lists(small_ints, min_size=m + 1 - zeros, max_size=m + 1 - zeros)
+    vector = tail.map(lambda v: [0] * zeros + v)
+    a, b, e = draw(vector), draw(vector), draw(vector)
+    coeffs = st.lists(fractions, min_size=3, max_size=3)
+    kind = draw(st.sampled_from(["coplanar", "skew", "coincident"]))
+    if kind == "coplanar":
+        c = combination(draw(coeffs), [a, b, e])
+        d = combination(draw(coeffs), [a, b, e])
+    elif kind == "coincident":
+        c = combination(draw(coeffs)[:2], [a, b])
+        d = combination(draw(coeffs)[:2], [a, b])
+    else:
+        c, d = e, draw(vector)
+    quad = (a, b, c, d)
+    assume(all(any(x != 0 for x in v) for v in quad))
+    return zeros, quad
+
+
+@given(zero_led_quadruples())
+@settings(max_examples=150, derandomize=True)
+def test_meet_past_vanishing_leading_coordinates_matches_oracle(case):
+    zeros, quad = case
+    got = library_meet(*quad)
+    assert got == oracle_meet(*quad)
+    if isinstance(got, tuple):
+        assert got[:zeros] == (0,) * zeros
+
+
 # --- the planar n=8, seed 1 degenerate draw ----------------------------------
 
 # levels of random_axis_aligned(8, 1)
