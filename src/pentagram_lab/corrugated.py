@@ -25,7 +25,7 @@ from .errors import (
     ExhaustedSampling,
     NotAxisAligned,
 )
-from .linalg import rank
+from .linalg import integer_echelon
 from .projcore import ProjPoint, affine_mean, as_fraction, meet_coplanar_lines, orbit
 from .rng import SplitMix64
 
@@ -70,13 +70,14 @@ class PolygonM:
 
 
 def is_corrugated(V: PolygonM) -> bool:
-    """Every quadruple V_t, V_{t+1}, V_{t+m}, V_{t+m+1} spans exactly a plane (rank 3)."""
+    """Every quadruple V_t, V_{t+1}, V_{t+m}, V_{t+m+1} spans exactly a plane
+    (rank 3), ranked on the int coordinates by the integer elimination."""
     verts = V.vertices
     k = len(verts)
     m = V.m
     for t in range(k):
         quad = [verts[i % k].coords for i in (t, t + 1, t + m, t + m + 1)]
-        if rank(quad) != 3:
+        if len(integer_echelon(quad, m + 1)[1]) != 3:
             return False
     return True
 

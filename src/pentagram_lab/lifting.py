@@ -223,7 +223,7 @@ class Joint(_Record):
         n = len(rows)
         if n < 2 or any(len(row) != n for row in rows):
             raise NotAJoint("a joint needs n points in R^n")
-        if linalg.rank(_differences(rows)) != n - 1:
+        if len(linalg.integer_echelon(_differences(rows), n)[1]) != n - 1:
             raise NotAJoint("points are affinely dependent")
         return self
 

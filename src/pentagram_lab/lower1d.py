@@ -20,7 +20,7 @@ from .projcore import (
     affine_mean,
     mobius_to_infinity,
     orbit,
-    solve_harmonic6,
+    point_coords,
 )
 from .rng import SplitMix64
 
@@ -51,16 +51,33 @@ class PairState1D:
 
 
 def t1_step(state: PairState1D) -> PairState1D:
-    """(X, Y) -> (Y, Z) with [X_i, Y_i, Y_{i-1}, Z_i, Y_i, Y_{i+1}] = -1."""
-    X, Y = state.X, state.Y
+    """(X, Y) -> (Y, Z) with [X_i, Y_i, Y_{i-1}, Z_i, Y_i, Y_{i+1}] = -1.
+
+    This is ``solve_harmonic6(X_i, Y_i, Y_{i-1}, Y_i, Y_{i+1})`` on the int
+    coordinates, with b = e = Y_i: Z_i = p Y_{i-1} - q Y_i, where
+    p = [X_i, Y_i] D_i and q = -[Y_{i+1}, X_i] D_{i-1}, and each bracket
+    D_i = [Y_i, Y_{i+1}] is computed once per step.  The raw (x, w) goes to
+    ``ProjPoint`` as it is: dividing p and q by common factors first was
+    measured slower.
+    """
+    X = point_coords(state.X, 1)
+    Y = point_coords(state.Y, 1)
     n = len(Y)
+    D = [y0 * z1 - y1 * z0 for (y0, y1), (z0, z1) in zip(Y, Y[1:] + Y[:1])]
     Z = []
     for i in range(n):
-        try:
-            Z.append(solve_harmonic6(X[i], Y[i], Y[(i - 1) % n], Y[i], Y[(i + 1) % n]))
-        except ZeroDenominator as exc:
-            raise ZeroDenominator(f"entry {i + 1}: {exc}") from exc
-    return PairState1D(Y, tuple(Z))
+        x0, x1 = X[i]
+        c0, c1 = Y[i - 1]
+        e0, e1 = Y[i]
+        f0, f1 = Y[(i + 1) % n]
+        p = (x0 * e1 - x1 * e0) * D[i]
+        q = (f1 * x0 - f0 * x1) * D[i - 1]
+        x = p * c0 - q * e0
+        w = p * c1 - q * e1
+        if x == 0 and w == 0:
+            raise ZeroDenominator(f"entry {i + 1}: six-point harmonic solve is indeterminate")
+        Z.append(ProjPoint((x, w)))
+    return PairState1D(state.Y, tuple(Z))
 
 
 @dataclass(frozen=True)

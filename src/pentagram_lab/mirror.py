@@ -31,10 +31,9 @@ from .errors import (
 from .projcore import (
     ProjPoint,
     affine_mean,
-    join_points,
     meet_consecutive_chords,
-    meet_lines,
     orbit,
+    point_coords,
     project_vertical,
     reflect_r,
 )
@@ -67,36 +66,27 @@ class MirrorPair:
         return tuple(reflect_r(p) for p in self.points)
 
 
+def _reflected(coords):
+    """The int triples (x, -y, w) of the reflections of plane points."""
+    return [(x, -y, w) for x, y, w in coords]
+
+
 def mp_step(pair: MirrorPair) -> MirrorPair:
     """Q_i = (X_i X'_{i+1}) ^ (X_{i-1} X'_i)."""
-    X = pair.points
-    n = len(X)
+    X = point_coords(pair.points, 2)
+    R = _reflected(X)
     # the right join X_{i-1} X'_i of output i is the left join of output i-1
-    out = meet_consecutive_chords(
-        lambda i: join_points(X[i], reflect_r(X[(i + 1) % n])),
-        n,
-        lambda i: f"output index {i + 1}",
-    )
+    out = meet_consecutive_chords(X, R[1:] + R[:1], lambda i: f"output index {i + 1}")
     return MirrorPair(tuple(out))
 
 
 def mp_inverse(pair: MirrorPair) -> MirrorPair:
     """X_i = (Q_i Q_{i+1}) ^ (Q'_{i-1} Q'_i)."""
-    Q = pair.points
-    n = len(Q)
-    out = []
-    # each point is reflected once, in the order the joins first need it
-    for i in range(n):
-        try:
-            left = join_points(Q[i], Q[(i + 1) % n])
-            if i == 0:
-                last = previous = reflect_r(Q[-1])
-            current = last if i == n - 1 else reflect_r(Q[i])
-            right = join_points(previous, current)
-            out.append(meet_lines(left, right))
-        except DegeneracyError as exc:
-            raise type(exc)(f"output index {i + 1}: {exc}") from exc
-        previous = current
+    Q = point_coords(pair.points, 2)
+    R = _reflected(Q)
+    out = meet_consecutive_chords(
+        Q, Q[1:] + Q[:1], lambda i: f"output index {i + 1}", R, R[1:] + R[:1]
+    )
     return MirrorPair(tuple(out))
 
 

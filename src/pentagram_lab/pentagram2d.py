@@ -31,6 +31,7 @@ from .projcore import (
     meet_consecutive_chords,
     meet_lines,
     orbit,
+    point_coords,
 )
 from .rng import SplitMix64
 
@@ -77,11 +78,10 @@ def pentagram_step(poly: LabeledPolygon2) -> LabeledPolygon2:
     k = len(verts)
     period = 2 * k
     new_offset = (poly.label_offset + 1) % period
+    P = point_coords(verts, 2)
     # the diagonal P_{t-1} P_{t+1} of output t is P_t P_{t+2} of output t-1
     out = meet_consecutive_chords(
-        lambda t: join_points(verts[t], verts[(t + 2) % k]),
-        k,
-        lambda t: f"output label {(new_offset + 2 * t) % period}",
+        P, P[2:] + P[:2], lambda t: f"output label {(new_offset + 2 * t) % period}"
     )
     return LabeledPolygon2(tuple(out), new_offset)
 

@@ -10,14 +10,17 @@ The kernel is integer-native.  Joins, meets, harmonic solves and maps
 produce integer coordinates, and integer input is taken as it is.  The
 ``Fraction`` boundary sits at the constructors: a ``ProjPoint`` or
 ``ProjLine2`` built from rationals has its denominators cleared there, once,
-on the generic path that any input other than an int 2- or 3-tuple takes,
-by ``linalg.integer_row`` (which ``ProjPoint.affine`` and ``ProjPoint.p1``
+on the generic path that any input other than an int tuple takes, by
+``linalg.integer_row`` (which ``ProjPoint.affine`` and ``ProjPoint.p1``
 call first, so they reach the constructor as int tuples); it reads int and
 ``Fraction`` entries through their numerators and denominators.  Text is
 parsed in ``serde``.  Past the constructors, joins, meets, harmonic
 solves and reflections read the int coordinates, form the result entries
-inline, and hand an int 2- or 3-tuple to the constructor, which divides out
-the content with one ``gcd`` and no ``Fraction``.  Lines of P^m meet in
+inline, and hand an int tuple to the constructor, which divides out the
+content with one ``gcd`` and no ``Fraction``.  The planar and mirror map
+steps meet their chords in ``meet_consecutive_chords`` on int triples, and
+a chord, which is only ever met, is divided by its gcd but never built as
+a ``ProjLine2``; each output point is built once.  Lines of P^m meet in
 ``homogeneous_meet``, by 3x3 minors and no elimination, ``affine_mean``
 averages over the lcm of the homogenizing coordinates, and the printed forms
 (``format_p1``, ``format_ratio``) are read from the canonical ints.  Only
@@ -32,10 +35,11 @@ value is never unprintable.
 
 The raw entries of a join, meet or harmonic solve share a large common
 factor, and the content division is where the kernel spends its time.
-``solve_harmonic6`` does not divide its determinant pairs by their gcds
-before multiplying them.  In long T_1 orbits that would remove about 40% of
-the raw bits, but on orbits whose coordinates stay below about a thousand
-bits the two extra gcds cost more than the shorter final gcd saves.
+``solve_harmonic6`` and ``lower1d.t1_step`` do not divide their
+determinant pairs by their gcds before multiplying them.  In long T_1
+orbits that would remove about 40% of the raw bits, but on orbits whose
+coordinates stay below about a thousand bits the extra gcds cost more than
+the shorter final gcd saves.
 
 Cross ratios on the projective line are computed from 2x2 determinants
 ``[a, b] = a_x * b_w - a_w * b_x`` so the point at infinity ``(1 : 0)`` needs
@@ -123,10 +127,10 @@ def format_rational(value: Fraction) -> str:
 def format_p1(point: ProjPoint) -> str:
     """A point of the projective line as its rational value, or "inf"."""
     coords = point.coords
-    if coords[-1] == 0:
-        return "inf"
     if len(coords) != 2:
         raise DimensionMismatch("p1_value needs a point of the projective line")
+    if coords[1] == 0:
+        return "inf"
     return format_ratio(*coords)
 
 
@@ -138,11 +142,15 @@ def as_fraction(value) -> Fraction:
 def _canonical_ints(values: Iterable[int | Fraction]) -> tuple[int, ...]:
     """The primitive integer tuple of ``values`` with first nonzero entry > 0.
 
-    An int 2- or 3-tuple, the form every kernel result takes, is reduced
-    directly; any other iterable, or one holding a ``Fraction``, a ``bool``
-    or an int subclass, is cleared of its denominators first.
+    An int tuple of any length, the form every kernel result takes, is
+    reduced directly with one ``gcd`` (2- and 3-tuples written out); any
+    other iterable, or a tuple holding a ``Fraction``, a ``bool`` or an int
+    subclass, is cleared of its denominators by ``linalg.integer_row``
+    first.
     """
-    if type(values) is tuple:
+    if type(values) is not tuple:
+        values = linalg.integer_row(tuple(values))[0]
+    else:
         size = len(values)
         if size == 3:
             x, y, z = values
@@ -166,15 +174,21 @@ def _canonical_ints(values: Iterable[int | Fraction]) -> tuple[int, ...]:
                 if g == 0:
                     raise ValueError("homogeneous coordinates must not all vanish")
                 return (x // g, y // g)
-    ints = linalg.integer_row(tuple(values))[0]
-    g = gcd(*ints)
+        for v in values:
+            if type(v) is not int:
+                values = linalg.integer_row(values)[0]
+                break
+    g = gcd(*values)
     if g == 0:
         raise ValueError("homogeneous coordinates must not all vanish")
-    if next(v for v in ints if v) < 0:
+    for v in values:
+        if v:
+            break
+    if v < 0:
         g = -g
     if g == 1:
-        return ints
-    return tuple(v // g for v in ints)
+        return values
+    return tuple([v // g for v in values])
 
 
 class ProjPoint:
@@ -290,16 +304,39 @@ def _need_dim(d: int, *points: ProjPoint):
             raise DimensionMismatch(f"expected a point of P^{d}, got {p!r}")
 
 
+def point_coords(points: Sequence[ProjPoint], d: int) -> list[tuple[int, ...]]:
+    """The canonical int coordinate tuples of points of P^d; a point of
+    another space raises DimensionMismatch."""
+    coords = [p.coords for p in points]
+    for c in coords:
+        if len(c) != d + 1:
+            _need_dim(d, *points)
+    return coords
+
+
+def _chord(p: Sequence[int], q: Sequence[int]) -> tuple[int, int, int]:
+    """The line through plane points p and q (int triples) as their cross
+    product divided by its gcd, with no sign fix.  Points that are one
+    projective point raise DegenerateJoin."""
+    p0, p1, p2 = p
+    q0, q1, q2 = q
+    a = p1 * q2 - p2 * q1
+    b = p2 * q0 - p0 * q2
+    c = p0 * q1 - p1 * q0
+    g = gcd(a, b, c)
+    if g == 1:
+        return a, b, c
+    if g == 0:
+        raise DegenerateJoin(f"join of coincident points {ProjPoint(p)!r}")
+    return a // g, b // g, c // g
+
+
 def join_points(a: ProjPoint, b: ProjPoint) -> ProjLine2:
     """Line through two distinct points of the projective plane."""
     u, v = a.coords, b.coords
     if len(u) != 3 or len(v) != 3:
         _need_dim(2, a, b)
-    if u == v:
-        raise DegenerateJoin(f"join of coincident points {a!r}")
-    u0, u1, u2 = u
-    v0, v1, v2 = v
-    return ProjLine2((u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0))
+    return ProjLine2(_chord(u, v))
 
 
 def meet_lines(l1: ProjLine2, l2: ProjLine2) -> ProjPoint:
@@ -312,27 +349,49 @@ def meet_lines(l1: ProjLine2, l2: ProjLine2) -> ProjPoint:
     return ProjPoint((u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0))
 
 
-def meet_consecutive_chords(chord: Callable[[int], ProjLine2], k: int,
-                            where: Callable[[int], str]) -> list[ProjPoint]:
-    """[chord(t) ^ chord(t - 1) for t in range(k)], indices mod k.
+def meet_consecutive_chords(P: Sequence[Sequence[int]], Q: Sequence[Sequence[int]],
+                            where: Callable[[int], str],
+                            R: Sequence[Sequence[int]] | None = None,
+                            S: Sequence[Sequence[int]] | None = None) -> list[ProjPoint]:
+    """[(P[t] v Q[t]) ^ (R[t - 1] v S[t - 1]) for t in range(k)], indices
+    mod k, on int coordinate triples of plane points.  R and S default to P
+    and Q: then each meet is of two consecutive chords of one family.
 
-    Each chord is built once, in the order the meets first need it: chords 0
-    and k - 1 for meet 0, then chord t for meet t.  A degenerate join or meet
-    raises its own error type, with the message prefixed by ``where(t)`` for
-    the first meet that needs it.
+    A chord is the cross product of its points divided by its gcd, with no
+    sign fix and no ``ProjLine2``; it is built once, in the order the meets
+    first need it (chord t, then chord t - 1 unless it is already built).
+    A meet hands the raw cross product of its chords to ``ProjPoint``, the
+    one place that canonicalizes.  Coincident points raise ``DegenerateJoin``
+    and chords on one line ``DegenerateMeet``, with the messages of
+    ``join_points`` and ``meet_lines``, prefixed by ``where(t)`` for the
+    first meet that needs the chord.
     """
-    chords = [None] * k
+    k = len(P)
+    shared = R is None
+    if shared:
+        R, S = P, Q
     out = []
     for t in range(k):
         try:
             if t == 0:
-                chords[0] = chord(0)
-                chords[-1] = chord(k - 1)
-            elif t < k - 1:
-                chords[t] = chord(t)
-            out.append(meet_lines(chords[t], chords[t - 1]))
+                line = _chord(P[0], Q[0])
+                prev = last = _chord(R[-1], S[-1])
+            elif shared:
+                prev = line
+                line = last if t == k - 1 else _chord(P[t], Q[t])
+            else:
+                line = _chord(P[t], Q[t])
+                prev = _chord(R[t - 1], S[t - 1])
+            a0, a1, a2 = line
+            b0, b1, b2 = prev
+            x = a1 * b2 - a2 * b1
+            y = a2 * b0 - a0 * b2
+            z = a0 * b1 - a1 * b0
+            if not (x or y or z):
+                raise DegenerateMeet(f"meet of identical lines {ProjLine2(line)!r}")
         except DegeneracyError as exc:
             raise type(exc)(f"{where(t)}: {exc}") from exc
+        out.append(ProjPoint((x, y, z)))
     return out
 
 

@@ -15,11 +15,11 @@ import pentagram_lab
 from pentagram_lab import serde
 from pentagram_lab.cli import CLAIMS, LIFT_CHECKS, entrypoint
 from pentagram_lab.corrugated import PolygonM, random_axis_aligned_m
-from pentagram_lab.errors import PentagramError, UsageError
+from pentagram_lab.errors import DimensionMismatch, PentagramError, UsageError
 from pentagram_lab.lower1d import PairState1D, random_b
 from pentagram_lab.mirror import MirrorPair, random_axis_aligned_mirror, random_mirror_pair
 from pentagram_lab.pentagram2d import LabeledPolygon2, random_axis_aligned
-from pentagram_lab.projcore import P1_INFINITY
+from pentagram_lab.projcore import P1_INFINITY, ProjPoint
 from pentagram_lab.serde import (
     FORMAT_TAG,
     dumps,
@@ -180,6 +180,13 @@ def test_p1_text_forms():
     assert format_p1(p1(Fraction(-5, 3))) == "-5/3"
     assert parse_p1("inf") == P1_INFINITY
     assert parse_p1("-5/3") == p1(Fraction(-5, 3))
+
+
+@pytest.mark.parametrize("coords", [(1, 2, 0), (1, 2, 3), (0, 1, 0, 0)])
+def test_format_p1_refuses_points_off_the_line(coords):
+    """A point of the plane or of P^3 has no P^1 text, also at w = 0."""
+    with pytest.raises(DimensionMismatch, match="needs a point of the projective line"):
+        format_p1(ProjPoint(coords))
 
 
 # ---------------------------------------------------------------------------
