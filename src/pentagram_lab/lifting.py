@@ -24,10 +24,13 @@ variants (planar, corrugated, mirror with even or odd n):
      positional mating of the slices of H_{g-1,k-1} and H_{g-1,k+1}
      (Lemma 3.2), each point one meet of two chords, and L2.8's line is the
      join of two slice points of H_{n-1,n-1}; no flat is met and no
-     skeleton built.  Where a premise of that pass fails, the report runs
-     the skeletons for L2.4 and the slicing pass, which builds each H_{g,k}
-     and each slice once and decides L2.5 and L2.6, and L2.8 reads its line
-     from the same pass.  The public checks always run that path.  After
+     skeleton built.  The chords through a slice's consecutive points are
+     built once: their primitive directions tell its lines apart
+     (``_distinct_lines``), and the next level meets them.  Where a premise
+     of that pass fails, the report runs the skeletons for L2.4 and the
+     slicing pass, which builds each H_{g,k} and each slice once and
+     decides L2.5 and L2.6, with the same line helper, and L2.8 reads its
+     line from the same pass.  The public checks always run that path.  After
      L2.2 nothing in L2.4-L2.6 raises, so the report runs the mating chain
      (L2.7) first.
 
@@ -1077,8 +1080,8 @@ class _Skeleton:
         holds face t as a hyperplane.  Once those two faces cut W in distinct
         points, W cuts the span in a flat that holds both points and meets
         the hyperplane in one point: exactly the line joining the points.
-        The lines are compared by ``_line_key``, read off the points'
-        integers, without building them as flats.
+        The lines are the points' ``_chords`` and ``_distinct_lines``
+        compares them, as the mated pass does, without building flats.
         """
         n = self.prism.n
         if W.ambient != n:
@@ -1099,35 +1102,10 @@ class _Skeleton:
             points.append(cut)
         if len(points) == n and len(set(points)) != n:
             reasons.append("slice points are not pairwise distinct")
-        if j < n - 1 and not reasons:
-            pairs = [(p._num, p._den) for p in points]
-            lines = {_line_key(pairs[t - 1], pairs[t]) for t in range(n)}
-            if len(lines) != n:
-                reasons.append("slice lines are not pairwise distinct")
+        if j < n - 1 and not reasons and not _distinct_lines(
+                _chords([(p._num, p._den) for p in points], "slice")):
+            reasons.append("slice lines are not pairwise distinct")
         return tuple(points), tuple(reasons)
-
-
-def _line_key(a: tuple, b: tuple) -> tuple:
-    """The canonical form ``span_with`` gives the line through the distinct
-    points a and b, each a (numerators, positive denominator) pair in
-    lowest terms: the line's primitive direction with a positive lead
-    entry, and its base, zero in the lead coordinate, over a reduced
-    positive denominator."""
-    (num, den), (num_b, den_b) = a, b
-    gap = [y * den - x * den_b for x, y in zip(num, num_b)]
-    g = gcd(*gap)
-    for lead, x in enumerate(gap):
-        if x:
-            break
-    if x < 0:
-        g = -g
-    row = tuple([x // g for x in gap])
-    x0 = num[lead]
-    if not x0:
-        return num, den, row
-    d = row[lead]
-    base = [d * x - x0 * y for x, y in zip(num, row)]
-    return (*_reduced(base, den * d), row)
 
 
 def skeleton_recurrence_check(T: Prism, k: int) -> bool:
@@ -1281,8 +1259,9 @@ def _spans(T: Prism) -> bool:
 
 
 def _chords(points, where: str) -> list[tuple]:
-    """(A, a, U, i) per slot t: point t is A / a, U is a direction of the
-    chord to point t+1 and U[i] its first nonzero entry."""
+    """(A, a, U, i) per slot t: point t is A / a, U is the primitive
+    direction of the chord to point t+1, a tuple whose first nonzero entry
+    U[i] is positive."""
     n = len(points)
     chords = []
     for t, (A, a) in enumerate(points):
@@ -1291,8 +1270,28 @@ def _chords(points, where: str) -> list[tuple]:
         i = next((i for i, x in enumerate(U) if x), None)
         if i is None:
             raise _Fallback(f"{where}: slice points {t} and {(t + 1) % n} coincide")
-        chords.append((A, a, U, i))
+        g = gcd(*U)
+        if U[i] < 0:
+            g = -g
+        chords.append((A, a, tuple(U) if g == 1 else tuple([x // g for x in U]), i))
     return chords
+
+
+def _distinct_lines(chords: Sequence[tuple]) -> bool:
+    """Whether the lines of ``_chords`` are pairwise distinct.  Lines of
+    different directions are; a line equals an earlier one of its direction
+    exactly when its point lies on that line."""
+    earlier: dict[tuple, list] = {}
+    for A, a, U, i in chords:
+        same = earlier.setdefault(U, [])
+        for C, c in same:
+            # the gap a C - c A is a multiple of U
+            gap = [a * z - c * x for x, z in zip(A, C)]
+            gi, ui = gap[i], U[i]
+            if all(gi * u == ui * x for u, x in zip(U, gap)):
+                return False
+        same.append((A, a))
+    return True
 
 
 def _chord_meet(p: tuple, q: tuple, where: str) -> tuple[tuple[int, ...], int]:
@@ -1323,7 +1322,9 @@ def _mate_levels(pj: Polyjoint, normals: Sequence[Vec]):
     """Yield (g, slices) for g = 1, ..., n-1, where slices[k, h] are the cuts
     of H_{g,k} with the level-g faces of prism h, in face order, as
     ``_reduced`` pairs: every k and every prism, since level g+1 reaches
-    one prism further than level g.
+    one prism further than level g.  A caller may resume it by sending the
+    ``_chords`` it built of some of those slices, keyed as they are; it
+    builds the others, in key order.
 
     pj must be a lift that L2.2 accepted, with ``normals`` its joints'
     normals; then every H_{g,k} has codimension g.  Raises ``_Fallback``
@@ -1358,17 +1359,19 @@ def _mate_levels(pj: Polyjoint, normals: Sequence[Vec]):
                 step = c * scale - s * sum(map(mul, N, row))
                 points.append(_reduced([f * x + step * y for x, y in zip(row, v)], den))
             level[k, h] = points
-    yield 1, level
+    built = yield 1, level
     for g in range(2, n):
-        chords = {key: _chords(points, f"H({g - 1},{key[0]}) vs prism {key[1]}")
-                  for key, points in level.items()}
+        chords = built or {}
+        for key, points in level.items():
+            if key not in chords:
+                chords[key] = _chords(points, f"H({g - 1},{key[0]}) vs prism {key[1]}")
         level = {}
         for k in range(g, 2 * (n - 1) - g + 1, 2):
             for h in labels:
                 where = f"H({g},{k}) vs prism {h}"
                 level[k, h] = [_chord_meet(p, q, where)
                                for p, q in zip(chords[k - 1, h], chords[k + 1, h])]
-        yield g, level
+        built = yield g, level
 
 
 def _mated_pass(pj: Polyjoint, normals: Sequence[Vec]) -> AffineFlat:
@@ -1380,10 +1383,15 @@ def _mated_pass(pj: Polyjoint, normals: Sequence[Vec]) -> AffineFlat:
     (|h-k| <= g) has n distinct points and, below the top level, n distinct
     lines, and the prisms in reach of one H_{g,k} cut the same set.
     Otherwise, or where ``_mate_levels`` gives up, it raises ``_Fallback``.
+    The chords that decide an in-reach slice's lines are sent back to
+    ``_mate_levels``, which meets them for the next level.
     """
     n = pj.n
     labels = pj.prism_labels()
-    for g, level in _mate_levels(pj, normals):
+    levels, built = _mate_levels(pj, normals), None
+    for g in range(1, n):
+        level = levels.send(built)[1]
+        built = {}
         for k in range(g, 2 * (n - 1) - g + 1, 2):
             seen = None
             for h in labels:
@@ -1393,9 +1401,10 @@ def _mated_pass(pj: Polyjoint, normals: Sequence[Vec]) -> AffineFlat:
                 where = f"H({g},{k}) vs prism {h}"
                 if len(set(points)) != n:
                     raise _Fallback(f"{where}: repeated slice point")
-                if g < n - 1 and len({_line_key(points[t - 1], points[t])
-                                      for t in range(n)}) != n:
-                    raise _Fallback(f"{where}: repeated slice line")
+                if g < n - 1:
+                    built[k, h] = chords = _chords(points, where)
+                    if not _distinct_lines(chords):
+                        raise _Fallback(f"{where}: repeated slice line")
                 if seen is None:
                     seen = set(points)
                 elif set(points) != seen:

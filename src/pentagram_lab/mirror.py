@@ -211,7 +211,10 @@ def verify_correspondence(pair: MirrorPair, k: int) -> CorrespondenceReport:
 
     if k < 1:
         raise ValueError("need k >= 1")
-    state = PairState1D.of(project(mp_inverse(pair)), project(pair))
+    behind = project(mp_inverse(pair))
+    # p(previous), or None where the last step did not project it
+    shadow = project(pair)
+    state = PairState1D.of(behind, shadow)
     previous = pair
     per_step = []
     for j in range(1, k + 1):
@@ -220,9 +223,14 @@ def verify_correspondence(pair: MirrorPair, k: int) -> CorrespondenceReport:
             state = t1_step(state)
         except DegeneracyError as exc:
             raise type(exc)(f"step {j}: {exc}") from exc
-        per_step.append(
-            state.X == project(previous) and state.Y == project(current)
-        )
+        if shadow is None:
+            shadow = project(previous)
+        if state.X == shadow:
+            shadow = project(current)
+            per_step.append(state.Y == shadow)
+        else:
+            shadow = None
+            per_step.append(False)
         previous = current
     return CorrespondenceReport(steps_taken=k, per_step=tuple(per_step))
 

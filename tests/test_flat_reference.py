@@ -629,17 +629,52 @@ def test_points_and_prisms_of_other_spaces_raise():
             slices_check(W, T)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 5).flatmap(lambda n: st.tuples(vectors(n), vectors(n))))
-def test_line_key_is_the_joined_line_form(points):
-    # the key of two distinct points is the canonical form of their join
-    a, b = (AffineFlat.of(p, []) for p in points)
-    if a == b:
-        return
-    line = a.span_with(b)
-    a, b = (a._num, a._den), (b._num, b._den)
-    assert lifting._line_key(a, b) == (line._num, line._den, line._rows[0])
-    assert lifting._line_key(b, a) == lifting._line_key(a, b)
+def _joins_are_distinct(points) -> bool | None:
+    """Whether the ``span_with`` joins of cyclically consecutive points are
+    pairwise distinct flats; None where two consecutive points coincide."""
+    flats = [AffineFlat.of(p, []) for p in points]
+    pairs = list(zip(flats, flats[1:] + flats[:1]))
+    if any(a == b for a, b in pairs):
+        return None
+    return len({a.span_with(b) for a, b in pairs}) == len(points)
+
+
+def _lines_are_distinct(points) -> bool:
+    pairs = [(f._num, f._den) for f in (AffineFlat.of(p, []) for p in points)]
+    return lifting._distinct_lines(lifting._chords(pairs, "drawn"))
+
+
+small_points = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.integers(-2, 2).map(Fraction), rationals),
+             min_size=n, max_size=n).map(tuple),
+    min_size=2, max_size=7))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_points)
+def test_distinct_lines_are_distinct_joined_flats(points):
+    # the chords' lines are distinct exactly when the joins are
+    joins = _joins_are_distinct(points)
+    if joins is not None:
+        assert _lines_are_distinct(points) == joins
+
+
+@pytest.mark.parametrize("points, distinct", [
+    # a square: two pairs of parallel lines, all four distinct
+    ([(0, 0), (1, 0), (1, 1), (0, 1)], True),
+    # y = 0, y = 1 and y = 1 again: the third line is not the first of its
+    # direction but the second
+    ([(0, 0), (1, 0), (0, 1), (1, 1), (3, 2), (4, 1), (5, 1)], False),
+    # (0, 0), (1, 1), (2, 2) are collinear: two chords on one line
+    ([(0, 0), (1, 1), (2, 2), (0, 3)], False),
+    # parallel lines of R^3 through points over a common denominator
+    ([(0, 0, 0), (Fraction(1, 2), 1, 0), (Fraction(1, 3), 0, 1),
+      (Fraction(5, 6), 1, 1)], True),
+], ids=["parallel", "third_parallel_coincides", "collinear_triple", "parallel_in_R3"])
+def test_distinct_lines_on_planted_parallels(points, distinct):
+    points = [tuple(Fraction(x) for x in p) for p in points]
+    assert _joins_are_distinct(points) is distinct
+    assert _lines_are_distinct(points) is distinct
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ over fixed seed windows.  A window is never re-seeded.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -179,6 +180,47 @@ def test_repeated_slice_line_falls_back(monkeypatch):
         return [*points[:2], moved, *points[3:]]
 
     pj = _planted(monkeypatch, 2, 2, 2, collinear)
+    assert _falls_back(pj) == "H(2,2) vs prism 2: repeated slice line"
+    assert _slicing_verdicts(pj)[:3] == (True, (True, ()), (True, ()))
+
+
+def _parallel_chords(points, coincide: bool):
+    """Points 3 (and, if ``coincide``, 4) moved on from point 2 by steps of
+    point 1 - point 0: chord 2 is parallel to chord 0 and, if ``coincide``,
+    chord 3 lies on chord 2's line."""
+    p0, p1, p2 = ([Fraction(x, den) for x in a] for a, den in points[:3])
+    step = [y - x for x, y in zip(p0, p1)]
+    moved = []
+    for j in range(1, 3 if coincide else 2):
+        q = [z + j * s for z, s in zip(p2, step)]
+        den = lcm(*(x.denominator for x in q))
+        moved.append(lifting._reduced([int(x * den) for x in q], den))
+    return [*points[:3], *moved, *points[3 + len(moved):]]
+
+
+def test_parallel_slice_lines_pass_the_line_check(monkeypatch):
+    # chords 0 and 2 of prism 2's slice are parallel and distinct, so the
+    # pass goes on to compare prism 4's slice set with the moved one
+    def planted(points):
+        points = _parallel_chords(points, False)
+        chords = lifting._chords(points, "planted")
+        assert chords[0][2] == chords[2][2]
+        return points
+
+    pj = _planted(monkeypatch, 2, 2, 2, planted)
+    assert _falls_back(pj) == "H(2,2) vs prism 4: slice set differs"
+
+
+def test_parallel_slice_line_on_a_later_chord_falls_back(monkeypatch):
+    # chords 0, 2 and 3 are parallel, and 3 lies on 2's line but not on 0's
+    def planted(points):
+        points = _parallel_chords(points, True)
+        chords = lifting._chords(points, "planted")
+        assert chords[0][2] == chords[2][2] == chords[3][2]
+        assert lifting._distinct_lines(chords[:3])
+        return points
+
+    pj = _planted(monkeypatch, 2, 2, 2, planted)
     assert _falls_back(pj) == "H(2,2) vs prism 2: repeated slice line"
     assert _slicing_verdicts(pj)[:3] == (True, (True, ()), (True, ()))
 

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from pentagram_lab import lower1d, mirror
 from pentagram_lab.errors import DegenerateJoin, NotAxisAligned
 from pentagram_lab.mirror import (
     AxisAlignedMirrorPair,
+    CorrespondenceReport,
     MirrorPair,
     lift_from_p1,
     mp_inverse,
@@ -122,6 +124,70 @@ def test_correspondence_exact_orbitwise():
             continue
         done += 1
     assert done == 25
+
+
+def _projecting_twice(pair, k):
+    """verify_correspondence as a loop that projects both states at every
+    step: the reference for the one that projects each state once."""
+    state = lower1d.PairState1D.of(project(mp_inverse(pair)), project(pair))
+    previous, per_step = pair, []
+    for _ in range(k):
+        current = mp_step(previous)
+        state = lower1d.t1_step(state)
+        per_step.append(state.X == project(previous) and state.Y == project(current))
+        previous = current
+    return CorrespondenceReport(steps_taken=k, per_step=tuple(per_step))
+
+
+def _counted_projections(monkeypatch):
+    calls = []
+    real = mirror.project_vertical
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(mirror, "project_vertical", counted)
+    return calls
+
+
+def test_correspondence_projects_each_state_once(monkeypatch):
+    # the 13 states MP^-1 P, ..., MP^11 P of 12 points, once each
+    pair = random_mirror_pair(12, 3, 24)
+    expected = _projecting_twice(pair, 11)
+    calls = _counted_projections(monkeypatch)
+    assert verify_correspondence(pair, 11) == expected
+    assert all(expected.per_step)
+    assert len(calls) == 156
+
+
+def test_correspondence_skips_a_projection_the_report_does_not_read(monkeypatch):
+    # step 2's T_1 state reads its X reversed, so that step fails before it
+    # projects MP^2 P, and step 3 projects it as its previous state
+    t1_step = lower1d.t1_step
+
+    def spoiled_at_step_2():
+        stepped = []
+
+        def step(state):
+            stepped.append(t1_step(stepped[-1] if stepped else state))
+            if len(stepped) == 2:
+                return lower1d.PairState1D(stepped[-1].X[::-1], stepped[-1].Y)
+            return stepped[-1]
+
+        return step
+
+    pair = random_mirror_pair(6, 3, 24)
+    monkeypatch.setattr(lower1d, "t1_step", spoiled_at_step_2())
+    expected = _projecting_twice(pair, 4)
+    monkeypatch.setattr(lower1d, "t1_step", spoiled_at_step_2())
+    calls = _counted_projections(monkeypatch)
+    report = verify_correspondence(pair, 4)
+    assert report == expected
+    assert report.per_step == (True, False, True, True)
+    assert len(calls) == 6 * 6
+    # step 3 projects MP^2 P, which step 2 left out, before MP^3 P
+    assert calls[18:24] == list(mp_step(mp_step(pair)).points)
 
 
 def test_degenerate_draw_wrap_around_cross_join_label():
