@@ -18,21 +18,20 @@ variants (planar, corrugated, mirror with even or odd n):
      skeletons Sigma_k T of the prisms turn incidence claims into exact
      rank/solve computations: slicing, prism independence, and finally the
      collapse line H_{n-1,n-1}, whose projection carries the final mating
-     points together with the common centroid.  On a lift that L2.2
-     accepted, ``lift_report`` decides L2.4 from one determinant per prism
-     and L2.5 and L2.6 from slice mates: a slice of H_{g,k} is the
-     positional mating of the slices of H_{g-1,k-1} and H_{g-1,k+1}
-     (Lemma 3.2), each point one meet of two chords, and L2.8's line is the
-     join of two slice points of H_{n-1,n-1}; no flat is met and no
-     skeleton built.  The chords through a slice's consecutive points are
+     points together with the common centroid.  One slicing pass serves
+     ``lift_report``, ``fully_sliced_check`` and
+     ``prism_independence_check``.  It mates each slice by a prism whose
+     lines span R^n: a slice of H_{g,k} is the positional mating of the
+     slices of H_{g-1,k-1} and H_{g-1,k+1} (Lemma 3.2), each point one meet
+     of two chords.  The chords through a slice's consecutive points are
      built once: their primitive directions tell its lines apart
-     (``_distinct_lines``), and the next level meets them.  Where a premise
-     of that pass fails, the report runs the skeletons for L2.4 and the
-     slicing pass, which builds each H_{g,k} and each slice once and
-     decides L2.5 and L2.6, with the same line helper, and L2.8 reads its
-     line from the same pass.  The public checks always run that path.  After
-     L2.2 nothing in L2.4-L2.6 raises, so the report runs the mating chain
-     (L2.7) first.
+     (``_distinct_lines``), and the next level meets them.  Only a slice in
+     reach that does not mate is cut from ``flat_H(g, k)`` by its prism's
+     skeleton, which gives its reasons.  L2.8's line is the H_{n-1,n-1} the
+     pass built, or the join of two distinct points of a mated slice of it.
+     ``lift_report`` decides L2.4 from one determinant per prism and runs
+     a skeleton only where that is zero.  After L2.2 nothing in L2.4-L2.6
+     raises, so the report runs the mating chain (L2.7) first.
 
 Tags use two vocabularies.  Planar/corrugated entries carry integer vertex
 labels, kept unreduced (monotone) so that a mating's child label is the plain
@@ -1081,7 +1080,8 @@ class _Skeleton:
         points, W cuts the span in a flat that holds both points and meets
         the hyperplane in one point: exactly the line joining the points.
         The lines are the points' ``_chords`` and ``_distinct_lines``
-        compares them, as the mated pass does, without building flats.
+        compares them (``_slice_reasons``, as for a mated slice), without
+        building flats.
         """
         n = self.prism.n
         if W.ambient != n:
@@ -1100,11 +1100,9 @@ class _Skeleton:
                 reasons.append(f"face {t} at level {j} does not cut to a point")
                 continue
             points.append(cut)
-        if len(points) == n and len(set(points)) != n:
-            reasons.append("slice points are not pairwise distinct")
-        if j < n - 1 and not reasons and not _distinct_lines(
-                _chords([(p._num, p._den) for p in points], "slice")):
-            reasons.append("slice lines are not pairwise distinct")
+        if not reasons:
+            pairs = [(p._num, p._den) for p in points]
+            reasons = _slice_reasons(pairs, _chords(pairs) if j < n - 1 else None)
         return tuple(points), tuple(reasons)
 
 
@@ -1183,73 +1181,6 @@ def lemma32_check(V: AffineFlat, Vp: AffineFlat, T: Prism) -> bool:
     return True
 
 
-def _skeletons(pj: Polyjoint) -> dict[int, _Skeleton]:
-    """The skeleton of every prism of pj, keyed by prism label."""
-    return {h: _Skeleton(T) for h, T in zip(pj.prism_labels(), pj.prisms)}
-
-
-def _slicing_pass(pj: Polyjoint, skeletons: Mapping[int, _Skeleton]):
-    """Slice every H_{g,k} by the prisms h with |h-k| <= g, in label order.
-
-    Each H_{g,k} is built once and each (H_{g,k}, prism) slice is made once.
-    Returns the H-flats that exist, keyed by (g, k), and the (ok, failures)
-    verdicts of L2.5 (the prisms with |h-k| <= 1) and L2.6 (every prism
-    sliced, and slice sets that differ between prisms).
-    """
-    n = pj.n
-    hyperplanes = pj.joint_flats()
-    flats: dict[tuple[int, int], AffineFlat] = {}
-    sliced: list[str] = []
-    indep: list[str] = []
-    for g in range(1, n):
-        for k in range(g, 2 * (n - 1) - g + 1, 2):
-            try:
-                W = flat_H(g, k, hyperplanes)
-            except NonTransverse as exc:
-                sliced.append(f"H({g},{k}): {exc}")
-                indep.append(sliced[-1])
-                continue
-            flats[g, k] = W
-            seen: frozenset | None = None
-            for h, skeleton in skeletons.items():
-                if abs(h - k) > g:
-                    continue
-                points, reasons = skeleton.slices(W)
-                if reasons:
-                    indep.append(f"H({g},{k}) vs prism {h}: " + "; ".join(reasons))
-                    if abs(h - k) <= 1:
-                        sliced.append(indep[-1])
-                elif seen is None:
-                    seen = frozenset(points)
-                elif frozenset(points) != seen:
-                    indep.append(f"H({g},{k}): prism {h} slice set differs")
-    return flats, (not sliced, tuple(sliced)), (not indep, tuple(indep))
-
-
-def fully_sliced_check(pj: Polyjoint) -> tuple[bool, tuple[str, ...]]:
-    """slices_check for every H_{g,k} against every prism with |h-k| <= 1.
-
-    It runs the pass of ``prism_independence_check`` and keeps the adjacent
-    prisms' failures, so a degenerate skeleton face of any prism within
-    |h-k| <= g raises ``DegenerateSpan`` here too.
-    """
-    return _slicing_pass(pj, _skeletons(pj))[1]
-
-
-def prism_independence_check(pj: Polyjoint) -> tuple[bool, tuple[str, ...]]:
-    """H_{g,k} ^ Sigma_g T_h yields one point set for every prism h with
-    |h-k| <= g; the same pass decides ``fully_sliced_check``."""
-    return _slicing_pass(pj, _skeletons(pj))[2]
-
-
-# ---------------------------------------------------------------------------
-# the mated pass: L2.4-L2.6 and the L2.8 line without flats
-
-
-class _Fallback(Exception):
-    """A premise of the mated pass fails; the message names it."""
-
-
 def _spans(T: Prism) -> bool:
     """Whether T's n lines span R^n: det[b_1-b_0, ..., b_{n-1}-b_0, direction]
     is not zero.  Then every window of at most n-1 lines spans a face of
@@ -1258,10 +1189,10 @@ def _spans(T: Prism) -> bool:
     return linalg.integer_det([*_differences(T._joint._rows), T._direction]) != 0
 
 
-def _chords(points, where: str) -> list[tuple]:
+def _chords(points) -> list[tuple] | None:
     """(A, a, U, i) per slot t: point t is A / a, U is the primitive
     direction of the chord to point t+1, a tuple whose first nonzero entry
-    U[i] is positive."""
+    U[i] is positive.  None where two consecutive points coincide."""
     n = len(points)
     chords = []
     for t, (A, a) in enumerate(points):
@@ -1269,7 +1200,7 @@ def _chords(points, where: str) -> list[tuple]:
         U = [a * y - b * x for x, y in zip(A, B)]
         i = next((i for i, x in enumerate(U) if x), None)
         if i is None:
-            raise _Fallback(f"{where}: slice points {t} and {(t + 1) % n} coincide")
+            return None
         g = gcd(*U)
         if U[i] < 0:
             g = -g
@@ -1294,9 +1225,20 @@ def _distinct_lines(chords: Sequence[tuple]) -> bool:
     return True
 
 
-def _chord_meet(p: tuple, q: tuple, where: str) -> tuple[tuple[int, ...], int]:
+def _slice_reasons(points, chords) -> list[str]:
+    """Why a slice whose every face cut is a point (``_reduced`` pairs, in
+    face order) fails: repeated points, or, given its ``chords`` (below the
+    top level), repeated lines."""
+    if len(set(points)) != len(points):
+        return ["slice points are not pairwise distinct"]
+    if chords is not None and not _distinct_lines(chords):
+        return ["slice lines are not pairwise distinct"]
+    return []
+
+
+def _chord_meet(p: tuple, q: tuple) -> tuple[tuple[int, ...], int] | None:
     """The single finite meet of chords p and q, by two 2x2 minors and a
-    check of every coordinate."""
+    check of every coordinate; None for parallel, identical or skew chords."""
     A, a, U, i = p
     C, c, W, _ = q
     ui, wi = U[i], W[i]
@@ -1305,7 +1247,7 @@ def _chord_meet(p: tuple, q: tuple, where: str) -> tuple[tuple[int, ...], int]:
         if minor:
             break
     else:
-        raise _Fallback(f"{where}: parallel or identical chords")
+        return None
     # A/a + s U = C/c + t W in coordinates i and j, with s = lam / (minor a c)
     # and t = mu / (minor a c); then every coordinate must agree
     ri, rj = a * C[i] - c * A[i], a * C[j] - c * A[j]
@@ -1314,44 +1256,34 @@ def _chord_meet(p: tuple, q: tuple, where: str) -> tuple[tuple[int, ...], int]:
     ca, cc = minor * a, minor * c
     num = [cc * x + lam * u for x, u in zip(A, U)]
     if num != [ca * z + mu * w for z, w in zip(C, W)]:
-        raise _Fallback(f"{where}: skew chords")
+        return None
     return _reduced(num, cc * a)
 
 
-def _mate_levels(pj: Polyjoint, normals: Sequence[Vec]):
-    """Yield (g, slices) for g = 1, ..., n-1, where slices[k, h] are the cuts
-    of H_{g,k} with the level-g faces of prism h, in face order, as
-    ``_reduced`` pairs: every k and every prism, since level g+1 reaches
-    one prism further than level g.  A caller may resume it by sending the
-    ``_chords`` it built of some of those slices, keyed as they are; it
-    builds the others, in key order.
+def _mates(ps: list[tuple] | None, qs: list[tuple] | None) -> list[tuple] | None:
+    """The slice whose point t is the meet of chords t of two parent slices,
+    or None where a parent is missing or a meet is not one finite point."""
+    if ps is None or qs is None:
+        return None
+    points = [_chord_meet(p, q) for p, q in zip(ps, qs)]
+    return None if None in points else points
 
-    pj must be a lift that L2.2 accepted, with ``normals`` its joints'
-    normals; then every H_{g,k} has codimension g.  Raises ``_Fallback``
-    where a premise fails.  First every prism's lines must span R^n
-    (``_spans``; after L2.2 they always do, as consecutive joints span
-    distinct hyperplanes), so every face has its dimension.  Level 1 cuts
-    each joint hyperplane with each prism line.  Above it, H_{g,k} is
-    H_{g-1,k-1} ^ H_{g-1,k+1} (Lemma 3.2): once a parent's points t and
-    t+1 differ, the parent meets level-g face t, which holds its faces t
-    and t+1 as hyperplanes, in the line through them.  So where the two
-    parents' lines meet in one finite point, that point is the cut.
-    """
-    n = pj.n
-    labels = pj.prism_labels()
-    for h, T in zip(labels, pj.prisms):
-        if not _spans(T):
-            raise _Fallback(f"prism {h}: its lines do not span R^{n}")
+
+def _hyperplane_cuts(pj: Polyjoint, normals: Sequence[Vec], spans: Sequence[bool]):
+    """{(k, h): points}: the cut of each joint hyperplane |J_k| with the
+    lines of each prism h whose lines span R^n (``spans``) and that is not
+    parallel to it."""
     level = {}
+    labels = pj.prism_labels()
     for k, J, normal in zip(pj.seq_labels, pj.joints, normals):
         # |J| = {x : N . x = c / s}; line l of a prism is row_l / scale + sigma v
         N = linalg.integer_row(normal)[0]
         c, s = sum(map(mul, N, J._rows[0])), J._scale
-        for h, T in zip(labels, pj.prisms):
+        for h, T, spanning in zip(labels, pj.prisms, spans):
             rows, scale, v = T._joint._rows, T._joint._scale, T._direction
             nv = sum(map(mul, N, v))
-            if not nv:
-                raise _Fallback(f"H(1,{k}) is parallel to prism {h}")
+            if not spanning or not nv:
+                continue
             den, f = scale * s * nv, s * nv
             points = []
             for row in rows:
@@ -1359,76 +1291,118 @@ def _mate_levels(pj: Polyjoint, normals: Sequence[Vec]):
                 step = c * scale - s * sum(map(mul, N, row))
                 points.append(_reduced([f * x + step * y for x, y in zip(row, v)], den))
             level[k, h] = points
-    built = yield 1, level
-    for g in range(2, n):
-        chords = built or {}
-        for key, points in level.items():
-            if key not in chords:
-                chords[key] = _chords(points, f"H({g - 1},{key[0]}) vs prism {key[1]}")
-        level = {}
-        for k in range(g, 2 * (n - 1) - g + 1, 2):
-            for h in labels:
-                where = f"H({g},{k}) vs prism {h}"
-                level[k, h] = [_chord_meet(p, q, where)
-                               for p, q in zip(chords[k - 1, h], chords[k + 1, h])]
-        built = yield g, level
+    return level
 
 
-def _mated_pass(pj: Polyjoint, normals: Sequence[Vec]) -> AffineFlat:
-    """Decide L2.4, L2.5 and L2.6 of a lift that L2.2 accepted from the
-    mates of ``_mate_levels``, and return the L2.8 line H_{n-1,n-1} as the
-    join of two of its slice points.
+def _line_through(points) -> AffineFlat | None:
+    """The line joining a slice's first point and the first point that
+    differs from it; None if all its points coincide."""
+    A, a = points[0]
+    for B, b in points:
+        if (B, b) != (A, a):
+            return AffineFlat._canonical(A, a, [[y * a - x * b for x, y in zip(A, B)]])
+    return None
 
-    It returns only where every check holds: each in-reach slice
-    (|h-k| <= g) has n distinct points and, below the top level, n distinct
-    lines, and the prisms in reach of one H_{g,k} cut the same set.
-    Otherwise, or where ``_mate_levels`` gives up, it raises ``_Fallback``.
-    The chords that decide an in-reach slice's lines are sent back to
-    ``_mate_levels``, which meets them for the next level.
+
+def _slicing_pass(pj: Polyjoint, normals: Sequence[Vec], spans: Sequence[bool]):
+    """Slice every H_{g,k} by every prism, level by level, in (g, k, h) order.
+
+    Returns the (ok, failures) verdicts of L2.5 (the prisms with |h-k| <= 1)
+    and L2.6 (every prism with |h-k| <= g sliced, and slice sets that differ
+    between prisms), and L2.8's line H_{n-1,n-1}, or None where no slice of
+    it shows the line.  ``normals`` are the joints' hyperplane normals and
+    ``spans`` tells, per prism, whether its lines span R^n (``_spans``).
+
+    A slice by a prism whose lines span R^n is mated (Lemma 3.2).  Level 1
+    cuts each joint hyperplane with each prism line.  Above it, H_{g,k} is
+    H_{g-1,k-1} ^ H_{g-1,k+1}: once a parent's points t and t+1 differ, the
+    parent meets level-g face t, which holds its faces t and t+1 as
+    hyperplanes, in the line through them.  So where the two parents'
+    lines (``_chords``) meet in one finite point, that point is the cut,
+    and it shows that H_{g,k} has codimension g.  Every cut of a mated
+    slice is a point, so ``_slice_reasons`` gives the reasons
+    ``_Skeleton.slices`` would.  Every other slice in reach (|h-k| <= g)
+    is cut by ``_Skeleton.slices`` from ``flat_H(g, k)``, built for the
+    first such slice; where H_{g,k} is not transverse no slice mates, and
+    its ``NonTransverse`` is the one reason of H_{g,k}.  The cuts of a
+    spanning prism parent the next level as mates do; out of reach, a slice
+    that does not mate is left out.  A prism that does not span is cut in
+    every slice in reach, so a degenerate skeleton face raises
+    ``DegenerateSpan`` where it is sliced.
     """
     n = pj.n
-    labels = pj.prism_labels()
-    levels, built = _mate_levels(pj, normals), None
+    prisms = pj.prism_labels()
+    skeletons = dict(zip(prisms, map(_Skeleton, pj.prisms)))
+    spanning = dict(zip(prisms, spans))
+    hyperplanes = W = None
+    level = _hyperplane_cuts(pj, normals, spans)
+    sliced: list[str] = []
+    indep: list[str] = []
     for g in range(1, n):
-        level = levels.send(built)[1]
-        built = {}
-        for k in range(g, 2 * (n - 1) - g + 1, 2):
-            seen = None
-            for h in labels:
-                if abs(h - k) > g:
+        ks = range(g, 2 * (n - 1) - g + 1, 2)
+        if g > 1:
+            level = {(k, h): _mates(chords.get((k - 1, h)), chords.get((k + 1, h)))
+                     for k in ks for h in prisms}
+        chords = {}
+        for k in ks:
+            W = seen = None
+            for h in prisms:
+                points, reasons = level.get((k, h)), None
+                reach = abs(h - k) <= g
+                if reach and points is None:
+                    if W is None:
+                        hyperplanes = hyperplanes or pj.joint_flats()
+                        try:
+                            W = flat_H(g, k, hyperplanes)
+                        except NonTransverse as exc:
+                            sliced.append(f"H({g},{k}): {exc}")
+                            indep.append(sliced[-1])
+                            break
+                    cuts, reasons = skeletons[h].slices(W)
+                    if len(cuts) == n:
+                        points = [(p._num, p._den) for p in cuts]
+                if points is not None and g < n - 1 and spanning[h]:
+                    chords[k, h] = _chords(points)
+                if not reach:
                     continue
-                points = level[k, h]
-                where = f"H({g},{k}) vs prism {h}"
-                if len(set(points)) != n:
-                    raise _Fallback(f"{where}: repeated slice point")
-                if g < n - 1:
-                    built[k, h] = chords = _chords(points, where)
-                    if not _distinct_lines(chords):
-                        raise _Fallback(f"{where}: repeated slice line")
-                if seen is None:
+                if reasons is None:
+                    reasons = _slice_reasons(points, chords.get((k, h)))
+                if reasons:
+                    indep.append(f"H({g},{k}) vs prism {h}: " + "; ".join(reasons))
+                    if abs(h - k) <= 1:
+                        sliced.append(indep[-1])
+                elif seen is None:
                     seen = set(points)
                 elif set(points) != seen:
-                    raise _Fallback(f"{where}: slice set differs")
-    (A, a), (B, b) = points[:2]
-    return AffineFlat._canonical(A, a, [[y * a - x * b for x, y in zip(A, B)]])
+                    indep.append(f"H({g},{k}): prism {h} slice set differs")
+    # W is H_{n-1,n-1} if the pass built it; if not, every slice of it mated,
+    # or none did (it is not transverse)
+    line = W
+    if W is None:
+        line = next(filter(None, map(_line_through, filter(None, level.values()))), None)
+    return (not sliced, tuple(sliced)), (not indep, tuple(indep)), line
 
 
-def _sliced_verdicts(pj: Polyjoint, normals: Sequence[Vec]):
-    """(L2.4 ok, L2.5 verdict, L2.6 verdict, L2.8 line or None) of a lift
-    that L2.2 accepted: from the mated pass, or, where a premise of it
-    fails, from the skeletons and the slicing pass, which keep every
-    reason, its order and every raised error."""
-    try:
-        line = _mated_pass(pj, normals)
-    except _Fallback:
-        skeletons = _skeletons(pj)
-        recurrence_ok = all(
-            skeleton.recurrence_holds(pj.n - 1) for skeleton in skeletons.values()
-        )
-        # L2.4 has built every skeleton level, so the pass raises no DegenerateSpan
-        H, sliced, indep = _slicing_pass(pj, skeletons)
-        return recurrence_ok, sliced, indep, H.get((pj.n - 1, pj.n - 1))
-    return True, (True, ()), (True, ()), line
+def fully_sliced_check(pj: Polyjoint) -> tuple[bool, tuple[str, ...]]:
+    """slices_check for every H_{g,k} against every prism with |h-k| <= 1.
+
+    It runs the pass of ``prism_independence_check`` and keeps the adjacent
+    prisms' failures, so a degenerate skeleton face of any prism within
+    |h-k| <= g raises ``DegenerateSpan`` here too.
+    """
+    return _checked_pass(pj)[0]
+
+
+def prism_independence_check(pj: Polyjoint) -> tuple[bool, tuple[str, ...]]:
+    """H_{g,k} ^ Sigma_g T_h yields one point set for every prism h with
+    |h-k| <= g; the same pass decides ``fully_sliced_check``."""
+    return _checked_pass(pj)[1]
+
+
+def _checked_pass(pj: Polyjoint):
+    """``_slicing_pass`` on pj's own normals and spanning tests."""
+    return _slicing_pass(pj, [hyperplane_normal(J) for J in pj.joints],
+                         [_spans(T) for T in pj.prisms])
 
 
 # ---------------------------------------------------------------------------
@@ -1529,7 +1503,8 @@ def lift_report(P, seed: int = 0, full: bool = False) -> LiftReport:
     The canonical L0 heights are tried first; if the lift degenerates or
     fails general position, seeded random heights are retried up to
     ``_HEIGHT_RETRIES`` times, and the heights actually used are reported.
-    L2.4-L2.6 and L2.8's line come from ``_sliced_verdicts``.
+    L2.4 is ``_spans`` of each prism, or its recurrence where that is
+    False; L2.5, L2.6 and L2.8's line come from ``_slicing_pass``.
     """
     variant = _variant(P)[0]
     seqs = build_A_sequences(P)
@@ -1581,8 +1556,11 @@ def lift_report(P, seed: int = 0, full: bool = False) -> LiftReport:
     # the mating chain first: after L2.2 nothing L2.4-L2.6 compute can raise,
     # so a degenerate mate raises before any slicing work, as it would after
     orbit, final = _mating_orbit(_OrbitContext(P), seqs, full)
-    recurrence_ok, (sliced_ok, sliced_failures), (indep_ok, indep_failures), line = (
-        _sliced_verdicts(pj, normals))
+    spans = [_spans(T) for T in pj.prisms]
+    recurrence_ok = all(spanning or _Skeleton(T).recurrence_holds(n - 1)
+                        for spanning, T in zip(spans, pj.prisms))
+    (sliced_ok, sliced_failures), (indep_ok, indep_failures), line = (
+        _slicing_pass(pj, normals, spans))
     checks.append(
         LiftCheck("L2.4", recurrence_ok, "skeleton intersection recurrence")
     )

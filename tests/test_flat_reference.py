@@ -581,13 +581,11 @@ def test_lift_report_meets_match_reference(monkeypatch, sample):
         met.append((self, other, meet))
         return meet
 
-    def fall_back(pj, normals):
-        raise lifting._Fallback("the slicing pass is under test")
-
-    # a successful report makes no meets, so take the path it falls back to
+    # a report whose slices all mate makes no meets; with no prism spanning,
+    # every slice is cut from its flat
     original = AffineFlat.intersect
     monkeypatch.setattr(AffineFlat, "intersect", recorded)
-    monkeypatch.setattr(lifting, "_mated_pass", fall_back)
+    monkeypatch.setattr(lifting, "_spans", lambda T: False)
     assert lift_report(sample()).ok
     assert met
     for a, b, meet in met:
@@ -641,7 +639,7 @@ def _joins_are_distinct(points) -> bool | None:
 
 def _lines_are_distinct(points) -> bool:
     pairs = [(f._num, f._den) for f in (AffineFlat.of(p, []) for p in points)]
-    return lifting._distinct_lines(lifting._chords(pairs, "drawn"))
+    return lifting._distinct_lines(lifting._chords(pairs))
 
 
 small_points = st.integers(1, 4).flatmap(lambda n: st.lists(
@@ -834,7 +832,7 @@ DEPENDENT_FACE = _case([(0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0), (0, 1, 0, 0)],
 @example(SLICED_PLANE)
 @example(DEPENDENT_FACE)
 def test_spanning_determinant_decides_the_recurrence(case):
-    # the mated pass reads L2.4 off one determinant per prism: nonzero gives
+    # lift_report reads L2.4 off one determinant per prism: nonzero gives
     # recurrence_holds(n-1) True, and zero gives False or a DegenerateSpan
     bases, tops, _ = case
     try:

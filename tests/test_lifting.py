@@ -258,30 +258,48 @@ SLICING_LIFTS = [_corrugated_lift_cut_short] + [
                     lambda n, d: random_heights(n, d, SplitMix64(1)),
                     # for planar and mirror n=5, some H_{g,k} are not transverse
                     lambda n, d: random_heights(n, d, SplitMix64(3), bound=2))
+] + [
+    # natural draws where some slices do not mate and are cut from flats
+    lambda sample=sample, seed=seed, heights=heights: _seeded_lift(
+        lambda: sample(seed), heights(seed))
+    for sample, seed in ((lambda seed: random_axis_aligned(7, seed), 2),
+                         (lambda seed: random_axis_aligned(8, seed), 16),
+                         (lambda seed: random_axis_aligned_m(2, 5, seed), 36),
+                         (lambda seed: random_axis_aligned_m(3, 4, seed), 44))
+    for heights in (lambda seed: canonical_heights,
+                    lambda seed: lambda n, d: random_heights(n, d, SplitMix64(seed), bound=2))
 ]
 SLICING_IDS = ["corrugated_cut_short"] + [
     f"{sample}_{heights}" for sample in ("planar_n5", "mirror_n5", "corrugated_3_3")
     for heights in ("canonical", "random", "random_repeated")
+] + [
+    f"{sample}_{heights}"
+    for sample in ("planar_n7_seed2", "planar_n8_seed16", "corrugated_2_5_seed36",
+                   "corrugated_3_4_seed44")
+    for heights in ("canonical", "bound_2")
 ]
 
 
 @pytest.mark.parametrize("lift", SLICING_LIFTS, ids=SLICING_IDS)
 def test_slicing_pass_matches_fresh_checks(lift):
-    # every H-flat and both verdicts of the one pass equal the fresh checks
+    # both verdicts of the one pass and its L2.8 line equal the fresh checks
     pj = lift()
-    reference = _reference_slicing(pj)
-    assert lifting._slicing_pass(pj, lifting._skeletons(pj)) == reference
-    assert fully_sliced_check(pj) == reference[1]
-    assert prism_independence_check(pj) == reference[2]
+    H, sliced, indep = _reference_slicing(pj)
+    line = H.get((pj.n - 1, pj.n - 1))
+    assert lifting._checked_pass(pj) == (sliced, indep, line)
+    assert fully_sliced_check(pj) == sliced
+    assert prism_independence_check(pj) == indep
 
 
 def test_slicing_pass_names_a_prism_whose_slice_set_differs(monkeypatch):
     # prism 6 is made to repeat one slice point in place of another; every
     # H_{g,k} that reaches it after an earlier prism reports it, and L2.5,
-    # which compares no sets, still holds
+    # which compares no sets, still holds.  No prism spans, so every slice
+    # is cut from its flat
     pj = parallel_lift(build_A_sequences(random_axis_aligned(5, seed=5)),
                        canonical_heights(5, 2))
     moved, real = pj.prism_at(6), lifting._Skeleton.slices
+    monkeypatch.setattr(lifting, "_spans", lambda T: False)
 
     def slices(skeleton, W):
         points, reasons = real(skeleton, W)
@@ -364,8 +382,8 @@ def test_skeleton_meets_only_level_j_faces(monkeypatch, sample):
     # L2.4 is a dimension count and the slice lines are joins of the slice
     # points: a slice makes one meet per level-j face, the recurrence none.
     # One pass builds each H_{g,k} once and slices it once per prism in reach.
-    # A successful lift_report takes the mated pass, so the skeleton checks
-    # and prism_independence_check run this path on the report's lift
+    # The skeleton checks and prism_independence_check run this path on the
+    # report's lift once no prism spans, so that no slice mates
     P = sample()
     rep = lift_report(P)
     assert rep.ok
@@ -398,6 +416,7 @@ def test_skeleton_meets_only_level_j_faces(monkeypatch, sample):
     intersect = AffineFlat.intersect
     monkeypatch.setattr(AffineFlat, "intersect", counted)
     monkeypatch.setattr(lifting, "flat_H", built)
+    monkeypatch.setattr(lifting, "_spans", lambda T: False)
     for name in ("recurrence_holds", "slices"):
         monkeypatch.setattr(lifting._Skeleton, name, measured(name))
     assert all(lifting.skeleton_recurrence_check(T, pj.n - 1) for T in pj.prisms)
@@ -425,7 +444,8 @@ def test_skeleton_meets_only_level_j_faces(monkeypatch, sample):
 def test_point_cuts_build_no_flats(monkeypatch, sample):
     # once the skeleton levels are built and W's and the faces' equation rows
     # are read, each point cut and the slice line comparison of
-    # fully_sliced_check's pass make no span, echelon or kernel
+    # fully_sliced_check's pass make no span, echelon or kernel (no prism
+    # spans, so that every slice is cut from its flat)
     P = sample()
     rep = lift_report(P)
     seqs = lifting._lift_chain(rep.variant, build_A_sequences(P))[0]
@@ -454,6 +474,7 @@ def test_point_cuts_build_no_flats(monkeypatch, sample):
 
     real = lifting._Skeleton.slices
     monkeypatch.setattr(lifting._Skeleton, "slices", slices)
+    monkeypatch.setattr(lifting, "_spans", lambda T: False)
     monkeypatch.setattr(AffineFlat, "span_with", counted("span_with", AffineFlat.span_with))
     for name in ("integer_echelon", "integer_kernel"):
         monkeypatch.setattr(lifting.linalg, name, counted(name, getattr(lifting.linalg, name)))
@@ -470,8 +491,9 @@ def test_point_cuts_build_no_flats(monkeypatch, sample):
     lambda: random_axis_aligned(7, seed=3),
 ], ids=["planar_n5", "mirror_n5", "corrugated_3_3", "planar_n7"])
 def test_mated_lift_report_builds_no_flats(monkeypatch, sample):
-    # on the mated pass a report builds no H-flat and no skeleton, and makes
-    # no meet of flats; the report is the one the slicing pass gives
+    # where every slice mates, a report builds no H-flat and no skeleton, and
+    # makes no meet of flats; the report is the one every slice cut from its
+    # flat gives, which no spanning prism forces
     P = sample()
     calls = []
 
@@ -482,9 +504,6 @@ def test_mated_lift_report_builds_no_flats(monkeypatch, sample):
 
         return wrapper
 
-    def fall_back(pj, normals):
-        raise lifting._Fallback("the slicing pass is under test")
-
     monkeypatch.setattr(lifting, "flat_H", recorded("flat_H", lifting.flat_H))
     monkeypatch.setattr(AffineFlat, "intersect", recorded("intersect", AffineFlat.intersect))
     for name in ("slices", "recurrence_holds"):
@@ -492,7 +511,7 @@ def test_mated_lift_report_builds_no_flats(monkeypatch, sample):
                             recorded(name, getattr(lifting._Skeleton, name)))
     rep = lift_report(P)
     assert rep.ok and calls == []
-    monkeypatch.setattr(lifting, "_mated_pass", fall_back)
+    monkeypatch.setattr(lifting, "_spans", lambda T: False)
     assert lift_report(P) == rep
     assert {"flat_H", "intersect", "slices", "recurrence_holds"} <= set(calls)
 

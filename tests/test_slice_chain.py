@@ -3,10 +3,10 @@
 The lifting argument reads the map orbit off the slices of the H-flats.  For
 a prism h with |h - k| <= 1, drop every coordinate past d from the slice
 points of H_{g,k} by h: they are, as a set, the points of sequence (k-g)/2 at
-stage g of ``_run_chain``.  The slices come from the mated pass's meets in
-R^n (``_mate_levels``), or from ``slices_check`` on draws where a premise of
-the mated pass fails; the chain comes from ``_meet`` in R^d.  So the two
-sides share no meet, and a mismatch points at one of them.
+stage g of ``_run_chain``.  The slices are the slicing pass's mates, meets of
+chords in R^n, or come from ``slices_check`` where a slice does not mate;
+the chain comes from ``_meet`` in R^d.  So the two sides share no meet, and
+a mismatch points at one of them.
 
 The windows are fixed: planar and mirror n=4-7 and corrugated (3,3), (3,4)
 and (2,4), seeds 0-59, lifted at canonical heights.  A draw whose chain
@@ -32,7 +32,6 @@ from pentagram_lab.lifting import (
     build_A_sequences,
     canonical_heights,
     flat_H,
-    hyperplane_normal,
     parallel_lift,
     slices_check,
 )
@@ -50,37 +49,33 @@ FAMILIES = {
 }
 
 
-def _projected_slices(pj, tally):
-    """{(g, k, h): projected slice points} for |h - k| <= 1: from the mates,
-    or from ``slices_check`` where the mated pass falls back (a slice that
-    is not complete there is left out)."""
+def _projected_slices(pj, recorded_pass, tally):
+    """{(g, k, h): projected slice points} for |h - k| <= 1: the slicing
+    pass's mates, or ``slices_check`` where a slice does not mate (a slice
+    that is not complete there is left out)."""
     n, d = pj.n, pj.d
-    normals = tuple(hyperplane_normal(J) for J in pj.joints)
-    try:
-        slices = {
-            (g, k, h): {ProjPoint((*num[:d], den)) for num, den in points}
-            for g, level in lifting._mate_levels(pj, normals)
-            for (k, h), points in level.items() if abs(h - k) <= 1
-        }
-        tally["mated draws"] += 1
-        return slices
-    except lifting._Fallback:
-        tally["sliced draws"] += 1
+    mates = recorded_pass(pj)[2]
     flats, slices = pj.joint_flats(), {}
+    cut = False
     for g in range(1, n):
         for k in range(g, 2 * (n - 1) - g + 1, 2):
-            W = flat_H(g, k, flats)
             for h in pj.prism_labels():
-                if abs(h - k) <= 1:
-                    report = slices_check(W, pj.prism_at(h))
-                    if report.ok:
-                        slices[g, k, h] = {ProjPoint.affine(*p[:d]) for p in report.points}
+                if abs(h - k) > 1:
+                    continue
+                if (g, k, h) in mates:
+                    slices[g, k, h] = {ProjPoint((*num[:d], den)) for num, den in mates[g, k, h]}
+                    continue
+                cut = True
+                report = slices_check(flat_H(g, k, flats), pj.prism_at(h))
+                if report.ok:
+                    slices[g, k, h] = {ProjPoint.affine(*p[:d]) for p in report.points}
+    tally["cut draws" if cut else "mated draws"] += 1
     return slices
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_projected_slices_are_chain_stages(family):
-    tally = {"mated draws": 0, "sliced draws": 0, "chain raised": 0, "refused": 0,
+def test_projected_slices_are_chain_stages(recorded_pass, family):
+    tally = {"mated draws": 0, "cut draws": 0, "chain raised": 0, "refused": 0,
              "slices": 0}
     for seed in SEEDS:
         P = FAMILIES[family](seed)
@@ -100,37 +95,37 @@ def test_projected_slices_are_chain_stages(family):
             tally["refused"] += 1
             continue
         top = 1 if variant == "mirror_odd" else pj.n - 1
-        for (g, k, h), points in _projected_slices(pj, tally).items():
+        for (g, k, h), points in _projected_slices(pj, recorded_pass, tally).items():
             if g <= top:
                 assert points == set(stages[g - 1][(k - g) // 2].proj), (seed, g, k, h)
                 tally["slices"] += 1
     assert tally == CHAIN_CENSUS[family]
 
 
-# draws the mates sliced, draws the slicing pass sliced, draws whose chain
-# raised, draws whose canonical lift did not build or failed L2.2, and
-# slices equal to their chain stage
+# draws whose slices with |h - k| <= 1 all mated, draws where one was cut
+# from its flat, draws whose chain raised, draws whose canonical lift did not
+# build or failed L2.2, and slices equal to their chain stage
 CHAIN_CENSUS = {
-    "corrugated_2_4": {"mated draws": 54, "sliced draws": 0, "chain raised": 6, "refused": 0,
+    "corrugated_2_4": {"mated draws": 54, "cut draws": 0, "chain raised": 6, "refused": 0,
                        "slices": 432},
-    "corrugated_3_3": {"mated draws": 58, "sliced draws": 0, "chain raised": 2, "refused": 0,
+    "corrugated_3_3": {"mated draws": 58, "cut draws": 0, "chain raised": 2, "refused": 0,
                        "slices": 174},
-    "corrugated_3_4": {"mated draws": 53, "sliced draws": 1, "chain raised": 6, "refused": 0,
+    "corrugated_3_4": {"mated draws": 54, "cut draws": 0, "chain raised": 6, "refused": 0,
                        "slices": 432},
-    "mirror_n4": {"mated draws": 60, "sliced draws": 0, "chain raised": 0, "refused": 0,
+    "mirror_n4": {"mated draws": 60, "cut draws": 0, "chain raised": 0, "refused": 0,
                   "slices": 480},
-    "mirror_n5": {"mated draws": 59, "sliced draws": 0, "chain raised": 1, "refused": 0,
+    "mirror_n5": {"mated draws": 59, "cut draws": 0, "chain raised": 1, "refused": 0,
                   "slices": 354},
-    "mirror_n6": {"mated draws": 58, "sliced draws": 0, "chain raised": 2, "refused": 0,
+    "mirror_n6": {"mated draws": 58, "cut draws": 0, "chain raised": 2, "refused": 0,
                   "slices": 1276},
-    "mirror_n7": {"mated draws": 58, "sliced draws": 0, "chain raised": 2, "refused": 0,
+    "mirror_n7": {"mated draws": 58, "cut draws": 0, "chain raised": 2, "refused": 0,
                   "slices": 580},
-    "planar_n4": {"mated draws": 60, "sliced draws": 0, "chain raised": 0, "refused": 0,
+    "planar_n4": {"mated draws": 60, "cut draws": 0, "chain raised": 0, "refused": 0,
                   "slices": 480},
-    "planar_n5": {"mated draws": 59, "sliced draws": 0, "chain raised": 1, "refused": 0,
+    "planar_n5": {"mated draws": 59, "cut draws": 0, "chain raised": 1, "refused": 0,
                   "slices": 826},
-    "planar_n6": {"mated draws": 56, "sliced draws": 2, "chain raised": 2, "refused": 0,
+    "planar_n6": {"mated draws": 58, "cut draws": 0, "chain raised": 2, "refused": 0,
                   "slices": 1276},
-    "planar_n7": {"mated draws": 55, "sliced draws": 3, "chain raised": 2, "refused": 0,
+    "planar_n7": {"mated draws": 58, "cut draws": 0, "chain raised": 2, "refused": 0,
                   "slices": 1798},
 }
