@@ -27,6 +27,7 @@ from .errors import (
     InconsistentTags,
     IndeterminateCrossRatio,
     InfiniteVertex,
+    MissingHyperplane,
     NonCoplanarDiagonals,
     NonOrthogonalNormal,
     NonTransverse,

@@ -80,5 +80,10 @@ class VariantMismatch(PentagramError):
     """An instance was passed to machinery for a different map variant."""
 
 
+class MissingHyperplane(PentagramError):
+    """A flat H_{g,k} needs a joint hyperplane at a label the polyjoint does
+    not lift, as on a polyjoint of fewer than n - 1 sequences."""
+
+
 class UsageError(PentagramError):
     """Bad command-line invocation."""

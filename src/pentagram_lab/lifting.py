@@ -68,6 +68,7 @@ from .errors import (
     DegenerateSpan,
     DimensionMismatch,
     InconsistentTags,
+    MissingHyperplane,
     NonCoplanarDiagonals,
     NonOrthogonalNormal,
     NonTransverse,
@@ -1116,14 +1117,15 @@ def skeleton_recurrence_check(T: Prism, k: int) -> bool:
 def flat_H(g: int, k: int, hyperplanes: Mapping[int, AffineFlat]) -> AffineFlat:
     """H_{g,k}: intersection of the g hyperplanes at labels k-g+1, ..., k+g-1.
 
-    Raises NonTransverse unless the intersection has codimension exactly g.
+    Raises NonTransverse unless the intersection has codimension exactly g,
+    and MissingHyperplane, naming the labels, where ``hyperplanes`` lacks one.
     """
     if g < 1:
         raise ValueError("need g >= 1")
     labels = [k - g + 1 + 2 * i for i in range(g)]
     missing = [label for label in labels if label not in hyperplanes]
     if missing:
-        raise KeyError(f"no hyperplane at labels {missing}")
+        raise MissingHyperplane(f"H_{g},{k}: no hyperplane at labels {missing}")
     flat = hyperplanes[labels[0]]
     for label in labels[1:]:
         nxt = flat.intersect(hyperplanes[label])

@@ -12,6 +12,7 @@ reports but nothing is asserted about it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import DegenerateJoin, InfiniteVertex, NotAxisAligned, ZeroDenominator
 from .projcore import (
@@ -147,18 +148,74 @@ class T008Report:
         return self.constant and self.matched
 
 
+def _last_pair(B: tuple[ProjPoint, ...]):
+    """The state (X, Y) after n-1 steps of T_1 from (inf^n, B), B finite, or
+    None where a guard fails.
+
+    The steps run on T_1's tau functions, whose Laurent phenomenon makes the
+    common factors of ``t1_step``'s raw points known in advance.  The integer
+    frame scales B by L, the lcm of its denominators, and starts from
+    Y_i = (L b_i : 1) and tau = 1.  Each step sets
+
+        D_i = [Y_i, Y_{i+1}],  tau'_i = D_i / tau_i,
+        Y'_i = (tau'_i Y_{i-1} - tau'_{i-1} Y_i) / tau_{i-1}.
+
+    Along it [X_i, Y_i] and [X_i, Y_{i+1}] are tau_i tau_{i-1} and tau_i^2,
+    up to one common sign, so ``t1_step``'s p : q is tau'_i : tau'_{i-1}.
+    Every divisor must be nonzero, every division exact, and every point
+    nonzero; then each Y'_i is a nonzero multiple of ``t1_step``'s Z_i, and
+    the last X and Y map back by (u : w) -> (u : L w), canonicalized only
+    there.
+    """
+    n = len(B)
+    L = lcm(*(w for _, w in (p.coords for p in B)))
+    Y = [(u * (L // w), 1) for u, w in (p.coords for p in B)]
+    tau = [1] * n
+    for _ in range(n - 1):
+        if 0 in tau:
+            return None
+        T = []
+        for (y0, y1), (z0, z1), t in zip(Y, Y[1:] + Y[:1], tau):
+            d, r = divmod(y0 * z1 - y1 * z0, t)
+            if r:
+                return None
+            T.append(d)
+        Z = []
+        (a0, a1), c, g = Y[-1], T[-1], tau[-1]
+        for (b0, b1), d, t in zip(Y, T, tau):
+            x, rx = divmod(d * a0 - c * b0, g)
+            w, rw = divmod(d * a1 - c * b1, g)
+            if rx or rw or not (x or w):
+                return None
+            Z.append((x, w))
+            a0, a1, c, g = b0, b1, d, t
+        X, Y, tau = Y, Z, T
+    return tuple(tuple(ProjPoint((u, L * w)) for u, w in S) for S in (X, Y))
+
+
 def verify_T008(pair: AxisAlignedPair1) -> T008Report:
     """Run n-1 steps of T_1 from (inf^n, B); the second component must become
-    the constant mean of B.  The first component rides along unasserted."""
+    the constant mean of B.  The first component rides along unasserted.
+
+    The steps run on the tau-function recurrence of ``_last_pair``, which
+    canonicalizes only the last state.  A draw on which one of its guards
+    fails runs ``orbit`` with ``t1_step`` instead, so a degenerate draw
+    raises that step's own error.
+    """
     n = pair.n
-    state = orbit(pair.initial_state(), t1_step, n - 1)[-1]
+    start = pair.initial_state()
+    last = _last_pair(start.Y)
+    if last is None:
+        state = orbit(start, t1_step, n - 1)[-1]
+        last = state.X, state.Y
+    X, Y = last
     expected = affine_mean(pair.B)
-    constant = len(set(state.Y)) == 1
-    matched = constant and state.Y[0] == expected
+    constant = len(set(Y)) == 1
+    matched = constant and Y[0] == expected
     return T008Report(
         steps_taken=n - 1,
-        first_component=state.X,
-        final_component=state.Y,
+        first_component=X,
+        final_component=Y,
         constant=constant,
         expected=expected,
         matched=matched,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import DegenerateJoin, InfiniteVertex, NotAxisAligned
 from .projcore import (
@@ -254,9 +255,9 @@ def _collinear_line(points) -> ProjLine2 | None:
     return line
 
 
-def _certify_two_lines(poly: LabeledPolygon2, centroid: ProjPoint) -> TwoLineStage:
-    evens = poly.vertices[0::2]
-    odds = poly.vertices[1::2]
+def _certify_two_lines(vertices: tuple[ProjPoint, ...], centroid: ProjPoint) -> TwoLineStage:
+    evens = vertices[0::2]
+    odds = vertices[1::2]
     line_a = _collinear_line(evens)
     line_b = _collinear_line(odds)
     if line_a is None or line_b is None:
@@ -265,13 +266,94 @@ def _certify_two_lines(poly: LabeledPolygon2, centroid: ProjPoint) -> TwoLineSta
     return TwoLineStage((line_a, line_b), True, through)
 
 
+def _collapse_stages(P: AxisAligned2):
+    """The vertices of steps n-2 and n-1 of P's orbit, or None where a guard
+    fails.
+
+    The steps run on the pentagram map's tau functions (Glick 2011), whose
+    Laurent phenomenon makes the common factors that ``pentagram_step``
+    divides out with a gcd known in advance.  The integer frame scales the
+    x-levels by La and the y-levels by Lb, the lcms of their denominators,
+    and starts from V_{2j} = (a_j, b_j, 1) and V_{2j+1} = (a_{j+1}, b_j, 1).
+    Step s sets
+
+        C_t = (V_t x V_{t+2}) / G^{s-1}_{t+1},    V'_t = (C_t x C_{t-1}) / G^s_t,
+
+    where G^1_t is a_j - a_{j+1} at t = 2j and b_j - b_{j+1} at t = 2j + 1,
+    G^s_t = (C^{s-1}_{t-1} . V^{s-1}_{t+3}) / G^{s-2}_{t+2} after it (V^s
+    being step s's input), and G^0 = G^{-1} = 1.  Every divisor must be
+    nonzero, every division exact, and every chord and meet nonzero; then
+    each C_t and V'_t is a nonzero multiple of the chord and meet that
+    ``pentagram_step`` builds from the same projective points, so the kept
+    states map back by (x, y, w) -> (Lb x, La y, La Lb w) to the orbit's
+    vertices, canonicalized only there.  At n = 2 step 0 is the input.
+    """
+    a, b = P.a, P.b
+    n = len(a)
+    La = lcm(*(x.denominator for x in a))
+    Lb = lcm(*(y.denominator for y in b))
+    xs = [x.numerator * (La // x.denominator) for x in a]
+    ys = [y.numerator * (Lb // y.denominator) for y in b]
+    V, G = [], []
+    for j in range(n):
+        x0, x1, y = xs[j], xs[(j + 1) % n], ys[j]
+        V += [(x0, y, 1), (x1, y, 1)]
+        G += [x0 - x1, y - ys[(j + 1) % n]]
+    H = [1] * len(V)
+    stage = V
+    for s in range(1, n):
+        if 0 in G:
+            return None
+        C = []
+        for (p0, p1, p2), (q0, q1, q2), h in zip(V, V[2:] + V[:2], H[1:] + H[:1]):
+            x, rx = divmod(p1 * q2 - p2 * q1, h)
+            y, ry = divmod(p2 * q0 - p0 * q2, h)
+            z, rz = divmod(p0 * q1 - p1 * q0, h)
+            if rx or ry or rz or not (x or y or z):
+                return None
+            C.append((x, y, z))
+        W = []
+        b0, b1, b2 = C[-1]
+        for (a0, a1, a2), g in zip(C, G):
+            x, rx = divmod(a1 * b2 - a2 * b1, g)
+            y, ry = divmod(a2 * b0 - a0 * b2, g)
+            z, rz = divmod(a0 * b1 - a1 * b0, g)
+            if rx or ry or rz or not (x or y or z):
+                return None
+            W.append((x, y, z))
+            b0, b1, b2 = a0, a1, a2
+        if s < n - 1:
+            F = []
+            for (c0, c1, c2), (v0, v1, v2), h in zip(C[-1:] + C[:-1], V[3:] + V[:3],
+                                                     H[2:] + H[:2]):
+                f, r = divmod(c0 * v0 + c1 * v1 + c2 * v2, h)
+                if r:
+                    return None
+                F.append(f)
+            H, G = G, F
+        V = W
+        if s == n - 2:
+            stage = V
+    return tuple(tuple(ProjPoint((Lb * x, La * y, La * Lb * w)) for x, y, w in S)
+                 for S in (stage, V))
+
+
 def collapse_orbit(P: AxisAligned2) -> CollapseReport2:
-    """Run n-1 pentagram steps and certify the collapse to the center of mass."""
+    """Run n-1 pentagram steps and certify the collapse to the center of mass.
+
+    The steps run on the tau-function recurrence of ``_collapse_stages``,
+    which canonicalizes only the two states the report reads.  A draw on
+    which one of its guards fails runs ``orbit`` with ``pentagram_step``
+    instead, so a degenerate draw raises that step's own error.
+    """
     n = P.n
     centroid = center_of_mass_affine(P.underlying)
-    polys = orbit(P.underlying, pentagram_step, n - 1)
-    stage = _certify_two_lines(polys[n - 2], centroid)
-    final = polys[-1].vertices
+    stages = _collapse_stages(P)
+    if stages is None:
+        polys = orbit(P.underlying, pentagram_step, n - 1)
+        stages = polys[n - 2].vertices, polys[-1].vertices
+    stage = _certify_two_lines(stages[0], centroid)
+    final = stages[1]
     all_equal = len(set(final)) == 1
     collapse_point = final[0] if all_equal else None
     matched = all_equal and collapse_point == centroid

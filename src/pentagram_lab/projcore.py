@@ -39,7 +39,10 @@ factor, and the content division is where the kernel spends its time.
 determinant pairs by their gcds before multiplying them.  In long T_1
 orbits that would remove about 40% of the raw bits, but on orbits whose
 coordinates stay below about a thousand bits the extra gcds cost more than
-the shorter final gcd saves.
+the shorter final gcd saves.  The T002 and T008 verifiers take no gcd along
+their orbits: ``pentagram2d.collapse_orbit`` and ``lower1d.verify_T008``
+run the maps' tau-function recurrences, which divide by factors known in
+advance, and canonicalize only the states their reports read.
 
 Cross ratios on the projective line are computed from 2x2 determinants
 ``[a, b] = a_x * b_w - a_w * b_x`` so the point at infinity ``(1 : 0)`` needs

@@ -10,6 +10,7 @@ from pentagram_lab.errors import (
     DegenerateSpan,
     DimensionMismatch,
     InconsistentTags,
+    MissingHyperplane,
     NonOrthogonalNormal,
     NonTransverse,
     NotAJoint,
@@ -556,3 +557,18 @@ def test_lift_report_builds_sequences_and_chain_once(monkeypatch, sample, chains
     pj = parallel_lift(seqs, rep.heights)
     assert collapse == [lifting.collapse_line_check(P, pj)]
     assert rep.checks[6].ok == mating_orbit_check(P).ok
+
+
+@pytest.mark.parametrize("sequences, label", [(2, 5), (3, 7)])
+def test_public_checks_on_a_short_polyjoint_name_the_missing_hyperplane(sequences, label):
+    """A polyjoint of fewer than n - 1 sequences has no hyperplane at the
+    labels past its last joint; both public checks raise the typed error
+    from ``flat_H``, naming the first H-flat that needs one and its labels."""
+    P = random_axis_aligned(5, 0)
+    pj = parallel_lift(build_A_sequences(P)[:sequences], canonical_heights(5, 2))
+    for check in (fully_sliced_check, prism_independence_check):
+        with pytest.raises(MissingHyperplane) as info:
+            check(pj)
+        assert str(info.value) == f"H_2,{label - 1}: no hyperplane at labels [{label}]"
+    with pytest.raises(MissingHyperplane):
+        flat_H(2, label - 1, pj.joint_flats())
