@@ -126,6 +126,16 @@ def _thread_cap() -> int:
     return max(1, cap)
 
 
+DEFAULT_RANGE = 10
+
+
+def _bound(bound: int | None, least: int = DEFAULT_RANGE) -> int:
+    """The coefficient bound of a draw: ``--range`` where it is given, else
+    ``max(DEFAULT_RANGE, least)``.  Planar draws pass ``least = n``, since
+    their n levels are distinct and need a bound of at least n."""
+    return max(DEFAULT_RANGE, least) if bound is None else bound
+
+
 def _draw(sample, *args):
     """Call a seeded sampler.  A ValueError from it means --n, --m or --range
     is out of range, which is a usage error, not a failed check."""
@@ -142,15 +152,15 @@ def _draw(sample, *args):
 def cmd_gen(args) -> int:
     bound = args.range
     if args.map == "pent2d":
-        obj = _draw(random_axis_aligned, args.n, args.seed, bound).underlying
+        obj = _draw(random_axis_aligned, args.n, args.seed, _bound(bound, args.n)).underlying
     elif args.map == "corrugated":
         if args.m is None:
             raise UsageError("--map corrugated needs --m")
-        obj = _draw(random_axis_aligned_m, args.m, args.n, args.seed, bound).underlying
+        obj = _draw(random_axis_aligned_m, args.m, args.n, args.seed, _bound(bound)).underlying
     elif args.map == "lower":
-        obj = _draw(random_b, args.n, args.seed, bound).initial_state()
+        obj = _draw(random_b, args.n, args.seed, _bound(bound)).initial_state()
     else:  # mirror
-        obj = _draw(random_axis_aligned_mirror, args.n, args.seed, bound).underlying
+        obj = _draw(random_axis_aligned_mirror, args.n, args.seed, _bound(bound)).underlying
     text = dumps(obj)
     if args.out:
         _write_file(args.out, text)
@@ -384,8 +394,8 @@ def _adapt_polygon(inst, message: str, canonicalize_mirror: bool = True):
 def _sample_polygon(n, m, seed, bound):
     """A planar 2n-gon, or with --m a corrugated mn-gon."""
     if m is None:
-        return random_axis_aligned(n, seed, bound)
-    return random_axis_aligned_m(m, n, seed, bound)
+        return random_axis_aligned(n, seed, _bound(bound, n))
+    return random_axis_aligned_m(m, n, seed, _bound(bound))
 
 
 def _a1_only(inst):
@@ -418,7 +428,8 @@ def _lift_input(inst, message: str):
 
 
 class Claim(NamedTuple):
-    """``sample(n, m, seed, bound)`` draws a ``--random`` instance, ``adapt``
+    """``sample(n, m, seed, bound)`` draws a ``--random`` instance (``bound``
+    is ``--range``, or None where it is omitted, for ``_bound``), ``adapt``
     takes a loaded instance file or raises ``UsageError``, and
     ``check(instance, k)`` returns ``(ok, values, reason)``.  Entries call
     library functions through this module's global names when they run, so
@@ -431,30 +442,30 @@ class Claim(NamedTuple):
 
 CLAIMS = {
     "T002": Claim(
-        lambda n, m, seed, bound: random_axis_aligned(n, seed, bound),
+        lambda n, m, seed, bound: random_axis_aligned(n, seed, _bound(bound, n)),
         lambda inst: AxisAligned2.from_polygon(
             _of_kind(inst, LabeledPolygon2, "T002 needs a P2 instance")),
         lambda P, k: _check_T002(P),
     ),
     "T003": Claim(
-        lambda n, m, seed, bound: random_axis_aligned_m(_required_m(m), n, seed, bound),
+        lambda n, m, seed, bound: random_axis_aligned_m(_required_m(m), n, seed, _bound(bound)),
         lambda inst: AxisAlignedM.from_polygon(
             _of_kind(inst, PolygonM, "T003 needs a Pm instance")),
         lambda P, k: _check_T003(P),
     ),
     "T005": Claim(
-        lambda n, m, seed, bound: random_a1(n, seed, bound),
+        lambda n, m, seed, bound: random_a1(n, seed, _bound(bound)),
         _a1_only,
         lambda row, k: _check_T005(row),
     ),
     "T007": Claim(
-        lambda n, m, seed, bound: random_axis_aligned_mirror(n, seed, bound),
+        lambda n, m, seed, bound: random_axis_aligned_mirror(n, seed, _bound(bound)),
         lambda inst: AxisAlignedMirrorPair.canonicalize(
             _of_kind(inst, MirrorPair, "T007 needs a P2-mirror instance")),
         lambda pair, k: _check_T007(pair),
     ),
     "T008": Claim(
-        lambda n, m, seed, bound: random_b(n, seed, bound),
+        lambda n, m, seed, bound: random_b(n, seed, _bound(bound)),
         _adapt_lower,
         lambda pair, k: _check_T008(pair),
     ),
@@ -472,7 +483,7 @@ CLAIMS = {
         lambda P, k: _check_lifting(P),
     ),
     "L4-correspondence": Claim(
-        lambda n, m, seed, bound: random_mirror_pair(n, seed, bound),
+        lambda n, m, seed, bound: random_mirror_pair(n, seed, _bound(bound)),
         lambda inst: _of_kind(inst, MirrorPair, "L4-correspondence needs a P2-mirror instance"),
         _check_correspondence,
     ),
@@ -682,7 +693,7 @@ def build_parser() -> _Parser:
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--m", type=int)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--range", type=int, default=10,
+    gen.add_argument("--range", type=int,
                      help="coefficient bound for sampled rationals")
     gen.add_argument("--out", help="output path (stdout when omitted)")
     gen.set_defaults(func=cmd_gen)
@@ -702,7 +713,7 @@ def build_parser() -> _Parser:
     ver.add_argument("--n", type=int)
     ver.add_argument("--m", type=int)
     ver.add_argument("--k", type=int, help="correspondence steps (default n-1)")
-    ver.add_argument("--range", type=int, default=10)
+    ver.add_argument("--range", type=int)
     ver.add_argument("--a1", help="comma-separated first row (T005)")
     ver.set_defaults(func=cmd_verify)
 

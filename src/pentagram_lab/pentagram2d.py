@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 
 from .errors import DegenerateJoin, InfiniteVertex, NotAxisAligned
@@ -243,32 +244,73 @@ class CollapseReport2:
         )
 
 
-def _collinear_line(points) -> ProjLine2 | None:
-    anchor = points[0]
-    other = next((p for p in points[1:] if p != anchor), None)
-    if other is None:
+def _family_line(points):
+    """The line through the int triples ``points`` and whether cyclically
+    consecutive points are projectively apart, or None where the points are
+    one projective point or not collinear.
+
+    The line is the cross product of the first point and the first point
+    apart from it, unreduced; incidence is its dot product with each triple.
+    On a line whose coefficient k is nonzero, a point is fixed by its other
+    two coordinates, so two of its points coincide exactly when their 2x2
+    minor on those coordinates vanishes.
+    """
+    p0, p1, p2 = points[0]
+    for q0, q1, q2 in points[1:]:
+        line = (p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0)
+        if any(line):
+            break
+    else:
         return None
-    line = join_points(anchor, other)
-    for p in points:
-        if not line.incident(p):
-            return None
-    return line
+    l0, l1, l2 = line
+    if any(l0 * x + l1 * y + l2 * w for x, y, w in points):
+        return None
+    i, j = (1, 2) if l0 else (0, 2) if l1 else (0, 1)
+    apart = all(p[i] * q[j] != p[j] * q[i] for p, q in zip(points, points[1:] + points[:1]))
+    return line, apart
 
 
-def _certify_two_lines(vertices: tuple[ProjPoint, ...], centroid: ProjPoint) -> TwoLineStage:
-    evens = vertices[0::2]
-    odds = vertices[1::2]
-    line_a = _collinear_line(evens)
-    line_b = _collinear_line(odds)
-    if line_a is None or line_b is None:
-        return TwoLineStage(None, False, False)
-    through = line_a.incident(centroid) and line_b.incident(centroid)
-    return TwoLineStage((line_a, line_b), True, through)
+def _certify_two_lines(stage, centroid: ProjPoint, La: int = 1, Lb: int = 1):
+    """The ``TwoLineStage`` of ``stage`` and the collapse point it fixes.
+
+    ``stage`` holds the vertices of step n - 2 as int triples, in the frame
+    that ``(x, y, w) -> (Lb x, La y, La Lb w)`` maps back to P's own; each
+    family's line is found there and only the two lines are mapped back,
+    by (l0, l1, l2) -> (La l0, Lb l1, l2), and canonicalized.  A family that
+    is not collinear gives ``TwoLineStage(None, False, False)``, and
+    ``through_centroid`` tests the canonical lines against the canonical
+    centroid.
+
+    Where both families are collinear, their lines A and B differ and no two
+    consecutive vertices of one family coincide, every chord of step n - 1
+    joins two distinct points of one line, so ``pentagram_step`` would send
+    every vertex to the meet A x B: that meet is the second value.  Otherwise
+    it is None and step n - 1 must be run.
+    """
+    fits = _family_line(stage[0::2]), _family_line(stage[1::2])
+    if None in fits:
+        return TwoLineStage(None, False, False), None
+    (a, apart_a), (b, apart_b) = fits
+    A = ProjLine2((La * a[0], Lb * a[1], a[2]))
+    B = ProjLine2((La * b[0], Lb * b[1], b[2]))
+    through = A.incident(centroid) and B.incident(centroid)
+    point = meet_lines(A, B) if apart_a and apart_b and A != B else None
+    return TwoLineStage((A, B), True, through), point
 
 
-def _collapse_stages(P: AxisAligned2):
-    """The vertices of steps n-2 and n-1 of P's orbit, or None where a guard
-    fails.
+def _level_scales(P: AxisAligned2) -> tuple[int, int]:
+    """La and Lb, the lcms of the denominators of P's x- and y-levels."""
+    return lcm(*(x.denominator for x in P.a)), lcm(*(y.denominator for y in P.b))
+
+
+def _unscale(S, La: int, Lb: int) -> tuple[ProjPoint, ...]:
+    """Points of the integer frame mapped back to P's frame, canonicalized."""
+    return tuple(ProjPoint((Lb * x, La * y, La * Lb * w)) for x, y, w in S)
+
+
+def _tau_states(P: AxisAligned2):
+    """Yield the vertices of steps 0, 1, ..., n - 1 of P's orbit as raw int
+    triples in an integer frame; stop early where a guard fails.
 
     The steps run on the pentagram map's tau functions (Glick 2011), whose
     Laurent phenomenon makes the common factors that ``pentagram_step``
@@ -284,14 +326,13 @@ def _collapse_stages(P: AxisAligned2):
     being step s's input), and G^0 = G^{-1} = 1.  Every divisor must be
     nonzero, every division exact, and every chord and meet nonzero; then
     each C_t and V'_t is a nonzero multiple of the chord and meet that
-    ``pentagram_step`` builds from the same projective points, so the kept
-    states map back by (x, y, w) -> (Lb x, La y, La Lb w) to the orbit's
-    vertices, canonicalized only there.  At n = 2 step 0 is the input.
+    ``pentagram_step`` builds from the same projective points, so
+    ``_unscale`` maps a state to the orbit's vertices.  The divisors G^{s+1}
+    are computed only when step s + 1 is asked for.
     """
     a, b = P.a, P.b
     n = len(a)
-    La = lcm(*(x.denominator for x in a))
-    Lb = lcm(*(y.denominator for y in b))
+    La, Lb = _level_scales(P)
     xs = [x.numerator * (La // x.denominator) for x in a]
     ys = [y.numerator * (Lb // y.denominator) for y in b]
     V, G = [], []
@@ -300,17 +341,17 @@ def _collapse_stages(P: AxisAligned2):
         V += [(x0, y, 1), (x1, y, 1)]
         G += [x0 - x1, y - ys[(j + 1) % n]]
     H = [1] * len(V)
-    stage = V
-    for s in range(1, n):
+    yield V
+    for _ in range(1, n):
         if 0 in G:
-            return None
+            return
         C = []
         for (p0, p1, p2), (q0, q1, q2), h in zip(V, V[2:] + V[:2], H[1:] + H[:1]):
             x, rx = divmod(p1 * q2 - p2 * q1, h)
             y, ry = divmod(p2 * q0 - p0 * q2, h)
             z, rz = divmod(p0 * q1 - p1 * q0, h)
             if rx or ry or rz or not (x or y or z):
-                return None
+                return
             C.append((x, y, z))
         W = []
         b0, b1, b2 = C[-1]
@@ -319,47 +360,65 @@ def _collapse_stages(P: AxisAligned2):
             y, ry = divmod(a2 * b0 - a0 * b2, g)
             z, rz = divmod(a0 * b1 - a1 * b0, g)
             if rx or ry or rz or not (x or y or z):
-                return None
+                return
             W.append((x, y, z))
             b0, b1, b2 = a0, a1, a2
-        if s < n - 1:
-            F = []
-            for (c0, c1, c2), (v0, v1, v2), h in zip(C[-1:] + C[:-1], V[3:] + V[:3],
-                                                     H[2:] + H[:2]):
-                f, r = divmod(c0 * v0 + c1 * v1 + c2 * v2, h)
-                if r:
-                    return None
-                F.append(f)
-            H, G = G, F
-        V = W
-        if s == n - 2:
-            stage = V
-    return tuple(tuple(ProjPoint((Lb * x, La * y, La * Lb * w)) for x, y, w in S)
-                 for S in (stage, V))
+        yield W
+        F = []
+        for (c0, c1, c2), (v0, v1, v2), h in zip(C[-1:] + C[:-1], V[3:] + V[:3], H[2:] + H[:2]):
+            f, r = divmod(c0 * v0 + c1 * v1 + c2 * v2, h)
+            if r:
+                return
+            F.append(f)
+        H, G, V = G, F, W
+
+
+def _collapse_stages(P: AxisAligned2):
+    """The vertices of steps n - 2 and n - 1 of P's orbit as ``_tau_states``
+    reaches them, canonicalized, or None where a guard fails before step
+    n - 1 is done.  ``collapse_orbit`` stops the loop at step n - 2 wherever
+    that stage fixes the collapse point."""
+    stages = list(islice(_tau_states(P), P.n - 2, P.n))
+    if len(stages) < 2:
+        return None
+    La, Lb = _level_scales(P)
+    return tuple(_unscale(S, La, Lb) for S in stages)
 
 
 def collapse_orbit(P: AxisAligned2) -> CollapseReport2:
     """Run n-1 pentagram steps and certify the collapse to the center of mass.
 
-    The steps run on the tau-function recurrence of ``_collapse_stages``,
-    which canonicalizes only the two states the report reads.  A draw on
-    which one of its guards fails runs ``orbit`` with ``pentagram_step``
-    instead, so a degenerate draw raises that step's own error.
+    The steps run on the tau-function recurrence of ``_tau_states``, which
+    stops after step n - 2: ``_certify_two_lines`` reads the two-line stage
+    off the loop's raw integers and, where the stage allows it, step n - 1
+    off the two lines, as one point.  Otherwise the loop runs step n - 1.
+    A draw on which one of the loop's guards fails runs ``orbit`` with
+    ``pentagram_step`` instead, so a degenerate draw raises that step's own
+    error.
     """
     n = P.n
     centroid = center_of_mass_affine(P.underlying)
-    stages = _collapse_stages(P)
-    if stages is None:
+    states = _tau_states(P)
+    stage = next(islice(states, n - 2, None), None)
+    final = None
+    if stage is not None:
+        La, Lb = _level_scales(P)
+        two_lines, point = _certify_two_lines(stage, centroid, La, Lb)
+        if point is not None:
+            final = (point,)
+        elif (last := next(states, None)) is not None:
+            final = _unscale(last, La, Lb)
+    if final is None:
         polys = orbit(P.underlying, pentagram_step, n - 1)
-        stages = polys[n - 2].vertices, polys[-1].vertices
-    stage = _certify_two_lines(stages[0], centroid)
-    final = stages[1]
+        if stage is None:
+            two_lines = _certify_two_lines([v.coords for v in polys[-2].vertices], centroid)[0]
+        final = polys[-1].vertices
     all_equal = len(set(final)) == 1
     collapse_point = final[0] if all_equal else None
     matched = all_equal and collapse_point == centroid
     return CollapseReport2(
         steps_taken=n - 1,
-        two_line_stage=stage,
+        two_line_stage=two_lines,
         collapse_point=collapse_point,
         centroid=centroid,
         all_equal=all_equal,

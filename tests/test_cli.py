@@ -517,6 +517,40 @@ def test_verify_random_degenerate_draw_exits_2(capsys):
     assert report["failures"][0]["seed"] == 265
 
 
+NO_ROOM = ("usage error: cannot draw an instance: coefficient bound must be >= n "
+           "to fit distinct levels\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--theorem", "T002", "--random", "--n", "24", "--trials", "2"),
+    ("verify", "--theorem", "L2-mating", "--random", "--n", "11"),
+    ("gen", "--map", "pent2d", "--n", "24"),
+])
+def test_planar_draws_past_n10_default_to_range_n(capsys, argv):
+    """Without --range a planar draw uses the bound max(10, n), the least
+    that fits n distinct levels; an explicit --range 10 still cannot."""
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out
+    assert run(capsys, *argv, "--range", argv[argv.index("--n") + 1]) == (code, out, err)
+    assert run(capsys, *argv, "--range", "10") == (3, "", NO_ROOM)
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--map", "pent2d", "--n", "6", "--seed", "3"),
+    ("gen", "--map", "lower", "--n", "12"),
+    ("gen", "--map", "mirror", "--n", "11"),
+    ("gen", "--map", "corrugated", "--m", "3", "--n", "12"),
+    ("verify", "--theorem", "T008", "--random", "--n", "12", "--trials", "2"),
+    ("verify", "--theorem", "L2-mating", "--random", "--m", "3", "--n", "11"),
+])
+def test_other_draws_default_to_range_10(capsys, argv):
+    """Planar draws up to n = 10 and every draw that is not planar keep the
+    bound 10 where --range is omitted."""
+    code, out, err = run(capsys, *argv)
+    assert code != 3 and out
+    assert run(capsys, *argv, "--range", "10") == (code, out, err)
+
+
 def test_verify_random_t003_needs_m(capsys):
     assert run(capsys, "verify", "--theorem", "T003", "--random", "--n", "3")[0] == 3
 
