@@ -151,6 +151,8 @@ def _draw(sample, *args):
 
 def cmd_gen(args) -> int:
     bound = args.range
+    if args.m is not None and args.map != "corrugated":
+        raise UsageError("--m only applies to --map corrugated")
     if args.map == "pent2d":
         obj = _draw(random_axis_aligned, args.n, args.seed, _bound(bound, args.n)).underlying
     elif args.map == "corrugated":
@@ -431,13 +433,15 @@ class Claim(NamedTuple):
     """``sample(n, m, seed, bound)`` draws a ``--random`` instance (``bound``
     is ``--range``, or None where it is omitted, for ``_bound``), ``adapt``
     takes a loaded instance file or raises ``UsageError``, and
-    ``check(instance, k)`` returns ``(ok, values, reason)``.  Entries call
+    ``check(instance, k)`` returns ``(ok, values, reason)``; ``options``
+    names which of ``--m``, ``--k`` and ``--a1`` the claim reads.  Entries call
     library functions through this module's global names when they run, so
     a name rebound after import (the benchmark's tracer) reaches them."""
 
     sample: Callable
     adapt: Callable
     check: Callable
+    options: tuple[str, ...] = ()
 
 
 CLAIMS = {
@@ -452,11 +456,13 @@ CLAIMS = {
         lambda inst: AxisAlignedM.from_polygon(
             _of_kind(inst, PolygonM, "T003 needs a Pm instance")),
         lambda P, k: _check_T003(P),
+        ("m",),
     ),
     "T005": Claim(
         lambda n, m, seed, bound: random_a1(n, seed, _bound(bound)),
         _a1_only,
         lambda row, k: _check_T005(row),
+        ("a1",),
     ),
     "T007": Claim(
         lambda n, m, seed, bound: random_axis_aligned_mirror(n, seed, _bound(bound)),
@@ -474,6 +480,7 @@ CLAIMS = {
         lambda inst: _adapt_polygon(inst, "L2-mating needs a polygon or mirror instance",
                                     canonicalize_mirror=False),
         lambda P, k: _check_mating(P),
+        ("m",),
     ),
     "L2-lifting": Claim(
         lambda n, m, seed, bound: _sample_polygon(
@@ -481,11 +488,13 @@ CLAIMS = {
             m, seed, bound),
         lambda inst: _lift_input(inst, "L2-lifting needs a polygon or mirror instance"),
         lambda P, k: _check_lifting(P),
+        ("m",),
     ),
     "L4-correspondence": Claim(
         lambda n, m, seed, bound: random_mirror_pair(n, seed, _bound(bound)),
         lambda inst: _of_kind(inst, MirrorPair, "L4-correspondence needs a P2-mirror instance"),
         _check_correspondence,
+        ("k",),
     ),
 }
 
@@ -583,8 +592,9 @@ def cmd_verify(args) -> int:
         raise UsageError(
             "give exactly one input: an instance file, --random, or --a1"
         )
-    if args.a1 and claim.adapt is not _a1_only:
-        raise UsageError("--a1 only applies to T005")
+    for option in ("m", "k", "a1"):
+        if getattr(args, option) is not None and option not in claim.options:
+            raise UsageError(f"--{option} does not apply to {theorem}")
     if args.k is not None and args.k < 1:
         raise UsageError("--k must be >= 1")
 

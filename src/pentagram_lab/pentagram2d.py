@@ -312,29 +312,26 @@ def _tau_states(P: AxisAligned2):
     """Yield the vertices of steps 0, 1, ..., n - 1 of P's orbit as raw int
     triples in an integer frame; stop early where a guard fails.
 
-    The steps run on the pentagram map's tau functions (Glick 2011), whose
-    Laurent phenomenon makes the common factors that ``pentagram_step``
-    divides out with a gcd known in advance.  The integer frame scales the
-    x-levels by La and the y-levels by Lb, the lcms of their denominators,
-    and starts from V_{2j} = (a_j, b_j, 1) and V_{2j+1} = (a_{j+1}, b_j, 1).
-    Step s sets
+    The steps run on the tau functions' octahedron recurrence (a T-system;
+    Glick 2011) and form no chord.  The frame scales the x-levels by La and
+    the y-levels by Lb, the lcms of their denominators, and starts from
+    V_{2j} = (a_j, b_j, 1), V_{2j+1} = (a_{j+1}, b_j, 1), H = 1 and G_t =
+    a_j - a_{j+1} at t = 2j, b_j - b_{j+1} at t = 2j + 1.  Each step sets
+    (H, G, V) to (G, F, W), where
 
-        C_t = (V_t x V_{t+2}) / G^{s-1}_{t+1},    V'_t = (C_t x C_{t-1}) / G^s_t,
+        W_t = (G_{t+1} V_{t-1} - G_{t-1} V_{t+1}) / H_t,
+        F_t = (G_{t-1} G_{t+2} - G_t G_{t+1}) / H_{t+1}.
 
-    where G^1_t is a_j - a_{j+1} at t = 2j and b_j - b_{j+1} at t = 2j + 1,
-    G^s_t = (C^{s-1}_{t-1} . V^{s-1}_{t+3}) / G^{s-2}_{t+2} after it (V^s
-    being step s's input), and G^0 = G^{-1} = 1.  Every divisor must be
-    nonzero, every division exact, and every chord and meet nonzero; then
-    each C_t and V'_t is a nonzero multiple of the chord and meet that
-    ``pentagram_step`` builds from the same projective points, so
-    ``_unscale`` maps a state to the orbit's vertices.  The divisors G^{s+1}
-    are computed only when step s + 1 is asked for.
+    The step keeps three determinants of nearby vertices equal to +-G G H
+    (README; ``tests/test_tau_identities.py`` proves it for every n), so
+    with no G zero W_t is a multiple of ``pentagram_step``'s vertex t.  The
+    guards: no G is 0, every division is exact (the Laurent phenomenon) and
+    no W_t is 0.  F is computed only when the next step is asked for.
     """
-    a, b = P.a, P.b
-    n = len(a)
+    n = P.n
     La, Lb = _level_scales(P)
-    xs = [x.numerator * (La // x.denominator) for x in a]
-    ys = [y.numerator * (Lb // y.denominator) for y in b]
+    xs = [x.numerator * (La // x.denominator) for x in P.a]
+    ys = [y.numerator * (Lb // y.denominator) for y in P.b]
     V, G = [], []
     for j in range(n):
         x0, x1, y = xs[j], xs[(j + 1) % n], ys[j]
@@ -345,28 +342,20 @@ def _tau_states(P: AxisAligned2):
     for _ in range(1, n):
         if 0 in G:
             return
-        C = []
-        for (p0, p1, p2), (q0, q1, q2), h in zip(V, V[2:] + V[:2], H[1:] + H[:1]):
-            x, rx = divmod(p1 * q2 - p2 * q1, h)
-            y, ry = divmod(p2 * q0 - p0 * q2, h)
-            z, rz = divmod(p0 * q1 - p1 * q0, h)
-            if rx or ry or rz or not (x or y or z):
-                return
-            C.append((x, y, z))
+        before, after = G[-1:] + G[:-1], G[1:] + G[:1]
         W = []
-        b0, b1, b2 = C[-1]
-        for (a0, a1, a2), g in zip(C, G):
-            x, rx = divmod(a1 * b2 - a2 * b1, g)
-            y, ry = divmod(a2 * b0 - a0 * b2, g)
-            z, rz = divmod(a0 * b1 - a1 * b0, g)
+        for (u0, u1, u2), (v0, v1, v2), g0, g2, h in zip(V[-1:] + V[:-1], V[1:] + V[:1],
+                                                         before, after, H):
+            x, rx = divmod(g2 * u0 - g0 * v0, h)
+            y, ry = divmod(g2 * u1 - g0 * v1, h)
+            z, rz = divmod(g2 * u2 - g0 * v2, h)
             if rx or ry or rz or not (x or y or z):
                 return
             W.append((x, y, z))
-            b0, b1, b2 = a0, a1, a2
         yield W
         F = []
-        for (c0, c1, c2), (v0, v1, v2), h in zip(C[-1:] + C[:-1], V[3:] + V[:3], H[2:] + H[:2]):
-            f, r = divmod(c0 * v0 + c1 * v1 + c2 * v2, h)
+        for g0, g1, g2, g3, h in zip(before, G, after, G[2:] + G[:2], H[1:] + H[:1]):
+            f, r = divmod(g0 * g3 - g1 * g2, h)
             if r:
                 return
             F.append(f)

@@ -796,6 +796,29 @@ def test_out_of_range_size_is_usage_error(capsys, monkeypatch, threads, argv):
     assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
+# --m, --k and --a1 where the claim or map does not read them
+NOT_READ = (
+    [(("verify", "--theorem", c, "--random", "--n", "4", "--m", "3"), f"--m does not apply to {c}")
+     for c in ("T002", "T005", "T007", "T008", "L4-correspondence")]
+    + [(("verify", "--theorem", c, "--random", "--n", "4", "--k", "2"),
+        f"--k does not apply to {c}") for c in CLAIM_IDS if c != "L4-correspondence"]
+    + [(("verify", "--theorem", "T005", "--a1", "1,2,3", "--k", "2"), "--k does not apply to T005"),
+       (("verify", "--theorem", "T002", "--a1", "1,2,3"), "--a1 does not apply to T002")]
+    + [(("gen", "--map", gen_map, "--n", "4", "--m", "3"), "--m only applies to --map corrugated")
+       for gen_map in ("pent2d", "lower", "mirror")]
+)
+
+
+@pytest.mark.parametrize("argv, message", NOT_READ, ids=[" ".join(a) for a, _ in NOT_READ])
+def test_an_option_the_command_does_not_read_is_a_usage_error(capsys, argv, message):
+    assert run(capsys, *argv) == (3, "", f"usage error: {message}\n")
+
+
+def test_an_option_the_claim_does_not_read_is_refused_for_a_file_too(capsys, hex_file):
+    assert run(capsys, "verify", "--theorem", "T002", hex_file, "--m", "3") == (
+        3, "", "usage error: --m does not apply to T002\n")
+
+
 @settings(max_examples=100, deadline=None, report_multiple_bugs=False)
 @given(theorem=st.sampled_from(CLAIM_IDS), n=st.integers(-2, 5),
        m=st.none() | st.integers(-1, 3), k=st.none() | st.integers(-1, 4),

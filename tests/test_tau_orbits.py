@@ -1,21 +1,28 @@
 """The T002 and T008 verifiers' tau-function loops against the public steps.
 
-``collapse_orbit`` and ``verify_T008`` run their orbits in private loops,
-``pentagram2d._collapse_stages`` and ``lower1d._last_pair``, on the maps'
-tau-function recurrences in an integer frame: each divides by factors known
-in advance where ``pentagram_step`` and ``t1_step`` take a gcd, and returns
-None where a divisor vanishes, a division leaves a remainder, or a chord,
-meet or point is zero.  The verifier then runs ``orbit`` on the public step.
+``collapse_orbit`` and ``verify_T008`` run their orbits in private loops on
+the maps' tau-function recurrences in an integer frame:
+``pentagram2d._tau_states`` on the pentagram map's T-system, of which
+``collapse_orbit`` reads step n - 2 and, where its two-line stage does not
+fix the collapse point, step n - 1, and ``lower1d._last_pair``.  Each
+divides by factors known in advance where ``pentagram_step`` and
+``t1_step`` take a gcd, and stops where a divisor vanishes, a division
+leaves a remainder, or a point is zero.  The verifier then runs ``orbit``
+on the public step.  ``pentagram2d._collapse_stages``, steps n - 2 and
+n - 1 of ``_tau_states`` canonicalized, is the T002 loop's reference here.
 
 - Each loop is compared with the public step's orbit over fixed windows:
-  T008 at n = 3-12 and seeds 0-99, T002 at n = 2-10 and seeds 0-49, and
-  T002 n = 2 over seeds 0-299.  The windows are never re-seeded: the draws on
-  which a loop falls back are counted and pinned, and each of them is a
-  draw on which the public orbit raises.
+  T008 at n = 3-12 and seeds 0-99, T002 at n = 2-10 and seeds 0-49, T002 n
+  = 2 over seeds 0-299, and T002 at n = 11-16 and seeds 0-19 with the
+  bound max(10, n).  The windows are never re-seeded: the draws on which a
+  loop falls back are counted and pinned, and each of them is a draw on
+  which the public orbit raises.
 - The degenerate draws the CLI pins raise their errors unchanged.
-- sympy proves both recurrences as polynomial identities for n <= 4 over
+- sympy runs both recurrences as polynomial identities for n <= 4 over
   every step of the orbit (n - 1 <= 3): every division is exact over the
-  integers, and each T_1 tau state is the image of the one before it.
+  integers, each T_1 tau state is the image of the one before it, and each
+  T002 vertex lies on both chords ``pentagram_step`` meets.
+  ``test_tau_identities.py`` proves one step of each for every n.
 - hypothesis checks that both steps commute with the diagonal change of
   frame that the loops' integer frames rest on.
 """
@@ -83,6 +90,13 @@ def test_t002_loop_matches_the_public_orbit():
                          ((9, 12), "DegenerateMeet")]
 
 
+def test_t002_loop_matches_the_public_orbit_past_n10():
+    """Past n = 10 a planar draw's default bound is n."""
+    draws = [((n, seed), random_axis_aligned(n, seed, max(10, n)))
+             for n in range(11, 17) for seed in range(20)]
+    assert _census(draws, _collapse_stages, _t002_orbit) == []
+
+
 def test_t002_loop_at_n2_keeps_the_input_as_step_0():
     draws = [(seed, random_axis_aligned(2, seed)) for seed in range(300)]
     assert _census(draws, _collapse_stages, _t002_orbit) == []
@@ -128,6 +142,10 @@ def _cross(p, q):
     return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
 
 
+def _dot(p, q):
+    return sum(x * y for x, y in zip(p, q))
+
+
 def _bracket(p, q):
     return p[0] * q[1] - p[1] * q[0]
 
@@ -161,12 +179,12 @@ def test_t008_recurrence_is_a_polynomial_identity(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_t002_recurrence_is_a_polynomial_identity(n):
     """From V_{2j} = (a_j, b_j, 1) and V_{2j+1} = (a_{j+1}, b_j, 1), with the
-    levels free integers: every chord C_t = (V_t x V_{t+2}) / G_{t+1}, meet
-    (C_t x C_{t-1}) / G_t and next G_t = (C_{t-1} . V_{t+3}) / G_{t+2} of the
-    step before is an integer polynomial.  Chords and meets are the cross
-    products ``pentagram_step`` takes, divided by a polynomial, so they are
-    proportional to its chords and meets of the same points; after n - 1
-    steps the vertices coincide."""
+    levels free integers: every vertex W_t = (G_{t+1} V_{t-1} - G_{t-1}
+    V_{t+1}) / H_t and next G_t = (G_{t-1} G_{t+2} - G_t G_{t+1}) / H_{t+1}
+    of the step before is an integer polynomial.  W_t is nonzero and lies on
+    the chords V_t V_{t+2} and V_{t-1} V_{t+1}, which differ, so it is
+    proportional to the vertex ``pentagram_step`` meets; after n - 1 steps
+    the vertices coincide."""
     R, *levels = ring(",".join([f"a{j}" for j in range(n)] + [f"b{j}" for j in range(n)]), ZZ)
     a, b = levels[:n], levels[n:]
     k = 2 * n
@@ -176,11 +194,13 @@ def test_t002_recurrence_is_a_polynomial_identity(n):
         G += [a[j] - a[(j + 1) % n], b[j] - b[(j + 1) % n]]
     H = [R.one] * k
     for _ in range(n - 1):
-        C = [tuple(_exact(c, H[(t + 1) % k]) for c in _cross(V[t], V[(t + 2) % k]))
-             for t in range(k)]
-        W = [tuple(_exact(c, G[t]) for c in _cross(C[t], C[t - 1])) for t in range(k)]
-        assert all(any(c) for c in C) and all(any(w) for w in W)
-        F = [_exact(sum(c * v for c, v in zip(C[t - 1], V[(t + 3) % k])), H[(t + 2) % k])
+        W = [tuple(_exact(G[(t + 1) % k] * u - G[t - 1] * v, H[t])
+                   for u, v in zip(V[t - 1], V[(t + 1) % k])) for t in range(k)]
+        for t in range(k):
+            chord, other = _cross(V[t], V[(t + 2) % k]), _cross(V[t - 1], V[(t + 1) % k])
+            assert any(W[t]) and any(_cross(chord, other))
+            assert _dot(chord, W[t]) == 0 and _dot(other, W[t]) == 0
+        F = [_exact(G[t - 1] * G[(t + 2) % k] - G[t] * G[(t + 1) % k], H[(t + 1) % k])
              for t in range(k)]
         H, G, V = G, F, W
     assert all(not any(_cross(V[0], v)) for v in V)
